@@ -69,9 +69,10 @@ type Config struct {
 	// tree (including cache_key attributes, so a cold-cache build is
 	// distinguishable from a slow probe). <= 0 disables the log.
 	SlowQuery time.Duration
-	// MaxUploadBytes caps the request body of dataset registration (CSV
-	// uploads and JSON register requests). Oversized uploads answer 413
-	// with the payload_too_large code. <= 0 means 256 MiB.
+	// MaxUploadBytes caps every request body: dataset registration (CSV
+	// uploads and JSON register requests), mutation batches, queries and
+	// explains. Oversized bodies answer 413 with the payload_too_large
+	// code. <= 0 means 256 MiB.
 	MaxUploadBytes int64
 	// SpillRows, when > 0, makes the operator build merge sort trees as
 	// forests of SpillRows-row subtrees (mst.Options.SpillRows), bounding
@@ -559,15 +560,21 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"datasets": infos})
 }
 
-// registerError classifies a registration failure: an upload that tripped
-// the MaxBytesReader cap is 413 payload_too_large, anything else 400.
+// registerError classifies a registration failure like bodyError.
 func registerError(name string, err error) error {
+	return bodyError(fmt.Sprintf("register %q", name), err)
+}
+
+// bodyError classifies a failure of operation op on a request body capped
+// by MaxBytesReader: tripping the cap is 413 payload_too_large, anything
+// else 400.
+func bodyError(op string, err error) error {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		return httpErrorf(http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge,
-			"register %q: request body exceeds the %d-byte upload limit", name, mbe.Limit)
+			"%s: request body exceeds the %d-byte upload limit", op, mbe.Limit)
 	}
-	return httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "register %q: %v", name, err)
+	return httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%s: %v", op, err)
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -722,11 +729,9 @@ func (s *Server) handleIngestStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		SQL string `json:"sql"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "bad explain request: %v", err))
+	var req api.ExplainRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)).Decode(&req); err != nil {
+		writeError(w, bodyError("bad explain request", err))
 		return
 	}
 	q, err := sqlparse.Parse(req.SQL)
@@ -783,45 +788,112 @@ func (s *Server) timeoutFor(millis int64) time.Duration {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		SQL           string `json:"sql"`
-		TimeoutMillis int64  `json:"timeout_millis"`
-		IncludeTrace  bool   `json:"include_trace"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "bad query request: %v", err))
+	var req api.QueryRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)).Decode(&req); err != nil {
+		writeError(w, bodyError("bad query request", err))
 		return
 	}
-	resp, err := s.query(r.Context(), req.SQL, req.TimeoutMillis, req.IncludeTrace)
+	res, err := s.query(r.Context(), req.SQL, req.TimeoutMillis, req.IncludeTrace)
+	w.Header().Set("Vary", "Accept")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if !api.AcceptsFrame(r.Header.Get("Accept")) {
+		writeJSON(w, http.StatusOK, res.rowJSON())
+		return
+	}
+	w.Header().Set("Content-Type", api.FrameContentType)
+	w.WriteHeader(http.StatusOK)
+	if err := res.writeFrame(w); err != nil {
+		// Past WriteHeader the client cannot be told; it sees a truncated
+		// frame, which its decoder rejects.
+		s.log.Debug("query frame write failed", "err", err)
+	}
 }
 
-// queryResponse mirrors api.QueryResponse (kept in sync by the
-// shared-client tests).
-type queryResponse struct {
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Nulls   [][]bool   `json:"nulls,omitempty"`
-	Stats   struct {
-		ElapsedMillis float64 `json:"elapsed_millis"`
-		CacheHits     int64   `json:"cache_hits"`
-		CacheMisses   int64   `json:"cache_misses"`
-		Operators     int     `json:"operators,omitempty"`
-		SortsShared   int     `json:"sorts_shared,omitempty"`
-		TreesShared   int     `json:"trees_shared,omitempty"`
-	} `json:"stats"`
-	Trace string `json:"trace,omitempty"`
+// queryResult is one evaluated statement, ready for either result
+// encoding: the result table, which of its INT64 columns render as ISO
+// dates, and the response's stats and trace.
+type queryResult struct {
+	table *core.Table
+	dates map[string]bool
+	stats api.QueryStats
+	trace string
 }
 
-// query parses, admits, evaluates and renders one statement. Every query
-// runs under a trace span: the finished tree feeds the per-(function,
-// engine) evaluation histograms, the slow-query log, and — when the request
-// asked for it — the response's Trace field.
-func (s *Server) query(parent context.Context, sql string, timeoutMillis int64, includeTrace bool) (*queryResponse, error) {
+// columnNames lists the result's column names.
+func (res *queryResult) columnNames() []string {
+	cols := res.table.Columns()
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.Name()
+	}
+	return names
+}
+
+// rowJSON renders the result as the row-JSON response. Rows and Nulls are
+// per-row views over one backing slice each, and Nulls is only built when
+// some cell is NULL. Cells render through csvio.AppendText, as in the
+// column frame.
+func (res *queryResult) rowJSON() *api.QueryResponse {
+	cols := res.table.Columns()
+	n, w := res.table.Rows(), len(cols)
+	resp := &api.QueryResponse{Columns: res.columnNames(), Rows: make([][]string, n), Stats: res.stats, Trace: res.trace}
+	cells := make([]string, n*w)
+	var nulls []bool
+	var buf []byte
+	for c, col := range cols {
+		if col.HasNulls() && nulls == nil {
+			nulls = make([]bool, n*w)
+		}
+		date := res.dates[col.Name()]
+		for i := 0; i < n; i++ {
+			if col.IsNull(i) {
+				nulls[i*w+c] = true
+				continue
+			}
+			buf = csvio.AppendText(buf[:0], col, i, date)
+			cells[i*w+c] = string(buf)
+		}
+	}
+	for i := range resp.Rows {
+		resp.Rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	if nulls != nil {
+		resp.Nulls = make([][]bool, n)
+		for i := range resp.Nulls {
+			resp.Nulls[i] = nulls[i*w : (i+1)*w : (i+1)*w]
+		}
+	}
+	return resp
+}
+
+// writeFrame streams the result as a column frame.
+func (res *queryResult) writeFrame(w io.Writer) error {
+	fw, err := api.NewFrameWriter(w, res.columnNames(), res.table.Rows(), res.stats, res.trace)
+	if err != nil {
+		return err
+	}
+	for _, col := range res.table.Columns() {
+		var null func(int) bool
+		if col.HasNulls() {
+			null = col.IsNull
+		}
+		date := res.dates[col.Name()]
+		err := fw.Column(null, func(dst []byte, i int) []byte { return csvio.AppendText(dst, col, i, date) })
+		if err != nil {
+			return err
+		}
+	}
+	return fw.Flush()
+}
+
+// query parses, admits and evaluates one statement; rendering the result
+// is the caller's. Every query runs under a trace span: the finished tree
+// feeds the per-(function, engine) evaluation histograms, the slow-query
+// log, and — when the request asked for it — the result's trace.
+func (s *Server) query(parent context.Context, sql string, timeoutMillis int64, includeTrace bool) (*queryResult, error) {
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err)
@@ -899,39 +971,18 @@ func (s *Server) query(parent context.Context, sql string, timeoutMillis int64, 
 		return nil, httpErrorf(http.StatusBadRequest, api.CodeInvalidArgument, "%v", err)
 	}
 
-	resp := &queryResponse{}
-	resp.Stats.ElapsedMillis = float64(elapsed) / float64(time.Millisecond)
 	st := s.cache.Stats()
-	resp.Stats.CacheHits = st.Hits
-	resp.Stats.CacheMisses = st.Misses
-	resp.Stats.Operators = planStats.Operators
-	resp.Stats.SortsShared = planStats.SortsShared
-	resp.Stats.TreesShared = planStats.TreesShared
+	out := &queryResult{table: res, dates: ds.file.DateColumns, stats: api.QueryStats{
+		ElapsedMillis: float64(elapsed) / float64(time.Millisecond),
+		CacheHits:     st.Hits,
+		CacheMisses:   st.Misses,
+		Operators:     planStats.Operators,
+		SortsShared:   planStats.SortsShared,
+		TreesShared:   planStats.TreesShared,
+	}}
 	if includeTrace {
-		resp.Trace = root.Render()
+		out.trace = root.Render()
 	}
-	cols := res.Columns()
-	resp.Columns = make([]string, len(cols))
-	for i, c := range cols {
-		resp.Columns[i] = c.Name()
-	}
-	n := res.Rows()
-	resp.Rows = make([][]string, n)
-	resp.Nulls = make([][]bool, n)
-	for i := 0; i < n; i++ {
-		row := make([]string, len(cols))
-		nulls := make([]bool, len(cols))
-		for c, col := range cols {
-			nulls[c] = col.IsNull(i)
-			if ds.file.DateColumns[col.Name()] && col.Kind() == core.Int64 && !col.IsNull(i) {
-				row[c] = csvio.DayToDate(col.Int64(i))
-				continue
-			}
-			row[c] = csvio.FormatCell(col, i)
-		}
-		resp.Rows[i] = row
-		resp.Nulls[i] = nulls
-	}
-	s.obs.rowsReturned.Add(float64(n))
-	return resp, nil
+	s.obs.rowsReturned.Add(float64(res.Rows()))
+	return out, nil
 }

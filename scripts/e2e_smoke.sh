@@ -2,9 +2,10 @@
 # End-to-end smoke test for windowd: build the daemon, load a CSV dataset,
 # run a framed percentile query over HTTP twice, and assert the second run
 # is served from the structure cache (hits up, no new builds). Also checks
-# /statusz, the /v1/metrics exposition (core series present and non-zero),
-# the deprecated unversioned aliases, the windowcli -server and -trace
-# modes, the out-of-core path (windowcli -ingest into a multi-segment
+# result content negotiation (row JSON by default, the WDC1 column frame on
+# request), /statusz, the /v1/metrics exposition (core series present and
+# non-zero), the deprecated unversioned aliases, the windowcli -server and
+# -trace modes, the out-of-core path (windowcli -ingest into a multi-segment
 # directory, segmented answers byte-identical to in-RAM, source=dir
 # registration, async server-side ingest with progress polling and ingest
 # metrics), and graceful shutdown.
@@ -56,6 +57,17 @@ hits2=$(num "$r2" cache_hits); misses2=$(num "$r2" cache_misses)
 statusz=$(curl -sf "$base/statusz")
 printf '%s\n' "$statusz" | grep -q "hits=$hits2"  || { echo "FAIL: statusz does not report cache hits"; exit 1; }
 printf '%s\n' "$statusz" | grep -q 'mst-batch: queries=' || { echo "FAIL: statusz does not report batch kernel counters"; exit 1; }
+
+# Result content negotiation: a query without the frame Accept type (curl
+# sends */*) answers row JSON; one naming it gets the binary column frame.
+curl -sf -D "$tmp/json.hdr" -o "$tmp/json.body" "$base/v1/query" -H 'Content-Type: application/json' -d "$query"
+grep -qi '^Content-Type: application/json' "$tmp/json.hdr" || { echo "FAIL: query without Accept is not JSON"; cat "$tmp/json.hdr"; exit 1; }
+grep -q '"med"' "$tmp/json.body"                           || { echo "FAIL: JSON query missing med column"; exit 1; }
+curl -sf -D "$tmp/frame.hdr" -o "$tmp/frame.body" "$base/v1/query" -H 'Content-Type: application/json' \
+    -H 'Accept: application/vnd.windowd.columns' -d "$query"
+grep -qi '^Content-Type: application/vnd.windowd.columns' "$tmp/frame.hdr" \
+    || { echo "FAIL: frame query has the wrong Content-Type"; cat "$tmp/frame.hdr"; exit 1; }
+[ "$(head -c 4 "$tmp/frame.body")" = "WDC1" ] || { echo "FAIL: frame body does not start with WDC1"; exit 1; }
 
 # Legacy unversioned aliases: still answering, marked deprecated.
 legacy_headers=$(curl -sf -D - -o /dev/null "$base/healthz")
