@@ -55,16 +55,16 @@ func TestDateHelpers(t *testing.T) {
 	if err != nil || day != 1 {
 		t.Fatalf("DateToDay = (%d, %v)", day, err)
 	}
-	if got := DayToDate(day); got != "1970-01-02" {
-		t.Fatalf("DayToDate = %q", got)
+	if got := string(AppendDate(nil, day)); got != "1970-01-02" {
+		t.Fatalf("AppendDate = %q", got)
 	}
 	for _, d := range []string{"1970-01-01", "2000-02-29", "1992-06-11", "2038-01-19"} {
 		day, err := DateToDay(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if DayToDate(day) != d {
-			t.Fatalf("round trip of %s failed: %s", d, DayToDate(day))
+		if got := string(AppendDate(nil, day)); got != d {
+			t.Fatalf("round trip of %s failed: %s", d, got)
 		}
 	}
 }
