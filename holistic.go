@@ -45,11 +45,6 @@ type Column = core.Column
 // Result holds the output columns of a Run, in input row order.
 type Result = core.Result
 
-// Profile records per-phase execution timings as an aggregate view over the
-// run's span tree (see Options.Profile). New code should prefer WithTrace,
-// which exposes the same spans unaggregated.
-type Profile = core.Profile
-
 // Kind identifies a column's physical type.
 type Kind = core.Kind
 

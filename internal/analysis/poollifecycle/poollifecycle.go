@@ -1,9 +1,9 @@
 // Package poollifecycle enforces the checkout discipline of the pooled
-// scratch buffers (internal/arena.Pool and the Options get*/put* helpers
-// in internal/core) with a path-sensitive dataflow analysis: every buffer
-// obtained from a pool getter must be returned to the pool exactly once on
-// every path out of the function, must not be used after it was returned,
-// and must not escape the function's put discipline silently.
+// scratch buffers (internal/arena.Pool) with a path-sensitive dataflow
+// analysis: every buffer obtained from a pool getter must be returned to the
+// pool exactly once on every path out of the function, must not be used
+// after it was returned, and must not escape the function's put discipline
+// silently.
 //
 // Per tracked variable the analysis runs a may-lattice {live, released,
 // deferred} over the function's CFG (package cfg), with function literals
@@ -55,14 +55,12 @@ var Analyzer = &analysis.Analyzer{
 // buffers the caller must return.
 var poolGetters = map[string]map[string]bool{
 	"internal/arena": {"Get": true, "GetZeroed": true},
-	"internal/core":  {"getInt32s": true, "getInt64s": true, "getUint64s": true, "getBools": true},
 }
 
 // poolPutters maps import-path suffix -> callables that return a buffer
 // (always their first argument) to the pool.
 var poolPutters = map[string]map[string]bool{
 	"internal/arena": {"Put": true},
-	"internal/core":  {"putInt32s": true, "putInt64s": true, "putUint64s": true, "putBools": true},
 }
 
 // state is the per-variable may-fact: which events happened on some path.
@@ -142,7 +140,7 @@ func (p problem) Transfer(f fact, n ast.Node) fact {
 		return p.transferAssign(f, n)
 	case *ast.DeferStmt:
 		// A deferred put covers the buffer on every exit. Look deep:
-		// `defer opt.putInt32s(buf)` and `defer func() { opt.putInt32s(buf) }()`
+		// `defer arena.Int32s.Put(buf)` and `defer func() { arena.Int32s.Put(buf) }()`
 		// both count.
 		for _, obj := range putArgsDeep(p.pass, n) {
 			if s, ok := f[obj]; ok {
@@ -422,7 +420,7 @@ func isPoolGet(pass *analysis.Pass, expr ast.Expr) bool {
 }
 
 // isWrappedGet reports whether expr is a call that receives a fresh pool
-// get as a direct argument — `SortIndicesIn(opt.getInt32s(k), keys)` hands
+// get as a direct argument — `SortIndicesIn(arena.Int32s.Get(k), keys)` hands
 // the buffer through, so the obligation transfers to the call's result.
 func isWrappedGet(pass *analysis.Pass, expr ast.Expr) bool {
 	call, ok := ast.Unparen(expr).(*ast.CallExpr)

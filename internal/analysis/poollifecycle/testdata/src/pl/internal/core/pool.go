@@ -1,18 +1,10 @@
 // Package core mirrors the pooled-scratch idioms of the real
-// internal/core: the package path suffix makes the analyzer treat the
-// Options get*/put* methods below as pool accessors, and the imported
-// arena package as the pool implementation.
+// internal/core, which calls the arena pools directly: the imported arena
+// package is the pool implementation whose Get/Put calls the analyzer
+// tracks.
 package core
 
 import "holistic/internal/arena"
-
-// Options carries the pool accessors, matching the real core.Options.
-type Options struct{}
-
-func (Options) getInt32s(n int) []int32 { return arena.Int32s.Get(n) }
-func (Options) putInt32s(b []int32)     { arena.Int32s.Put(b) }
-func (Options) getBools(n int) []bool   { return make([]bool, n) }
-func (Options) putBools(b []bool)       {}
 
 func use(...any) {}
 
@@ -22,102 +14,102 @@ func wrap(b []int32) []int32 { return b }
 
 // --- leaks ---
 
-func leakOnOnePath(o Options, cond bool) {
-	buf := o.getInt32s(8) // want "not returned to the pool on every path"
+func leakOnOnePath(cond bool) {
+	buf := arena.Int32s.Get(8) // want "not returned to the pool on every path"
 	use(buf)
 	if cond {
 		return
 	}
-	o.putInt32s(buf)
+	arena.Int32s.Put(buf)
 }
 
-func leakWrappedGet(o Options) {
-	idx := wrap(o.getInt32s(8)) // want "not returned to the pool on every path"
+func leakWrappedGet() {
+	idx := wrap(arena.Int32s.Get(8)) // want "not returned to the pool on every path"
 	use(idx)
 }
 
-func balanced(o Options, cond bool) {
-	buf := o.getInt32s(8)
+func balanced(cond bool) {
+	buf := arena.Int32s.Get(8)
 	use(buf)
 	if cond {
-		o.putInt32s(buf)
+		arena.Int32s.Put(buf)
 		return
 	}
-	o.putInt32s(buf)
+	arena.Int32s.Put(buf)
 }
 
-func deferredPut(o Options) {
-	buf := o.getInt32s(8)
-	defer o.putInt32s(buf)
+func deferredPut() {
+	buf := arena.Int32s.Get(8)
+	defer arena.Int32s.Put(buf)
 	use(buf)
 }
 
-func deferredLiteralPut(o Options) {
-	buf := o.getInt32s(8)
-	defer func() { o.putInt32s(buf) }()
+func deferredLiteralPut() {
+	buf := arena.Int32s.Get(8)
+	defer func() { arena.Int32s.Put(buf) }()
 	use(buf)
 }
 
 // Panic paths are exempt from the leak check: the pools are GC-backed.
-func panicPathExempt(o Options, bad bool) {
-	buf := o.getInt32s(8)
+func panicPathExempt(bad bool) {
+	buf := arena.Int32s.Get(8)
 	if bad {
 		panic("invariant broken")
 	}
-	o.putInt32s(buf)
+	arena.Int32s.Put(buf)
 }
 
 // A put inside a loop body covers the loop's own get.
-func loopBalanced(o Options, n int) {
+func loopBalanced(n int) {
 	for i := 0; i < n; i++ {
-		buf := o.getInt32s(8)
+		buf := arena.Int32s.Get(8)
 		use(buf, i)
-		o.putInt32s(buf)
+		arena.Int32s.Put(buf)
 	}
 }
 
 // --- double put / use after put ---
 
-func doublePut(o Options) {
-	buf := o.getInt32s(8)
-	o.putInt32s(buf)
-	o.putInt32s(buf) // want "returned to the pool twice"
+func doublePut() {
+	buf := arena.Int32s.Get(8)
+	arena.Int32s.Put(buf)
+	arena.Int32s.Put(buf) // want "returned to the pool twice"
 }
 
-func putAfterDefer(o Options) {
-	buf := o.getInt32s(8)
-	defer o.putInt32s(buf)
+func putAfterDefer() {
+	buf := arena.Int32s.Get(8)
+	defer arena.Int32s.Put(buf)
 	use(buf)
-	o.putInt32s(buf) // want "returned to the pool twice"
+	arena.Int32s.Put(buf) // want "returned to the pool twice"
 }
 
-func useAfterPut(o Options) {
-	buf := o.getInt32s(8)
-	o.putInt32s(buf)
+func useAfterPut() {
+	buf := arena.Int32s.Get(8)
+	arena.Int32s.Put(buf)
 	use(buf) // want "used after being returned to the pool"
 }
 
-func useOnReleasedPath(o Options, cond bool) {
-	buf := o.getInt32s(8)
+func useOnReleasedPath(cond bool) {
+	buf := arena.Int32s.Get(8)
 	if cond {
-		o.putInt32s(buf)
+		arena.Int32s.Put(buf)
 	} else {
-		o.putInt32s(buf)
+		arena.Int32s.Put(buf)
 	}
 	use(buf) // want "used after being returned to the pool"
 }
 
 // --- escapes ---
 
-func escapeReturn(o Options) []int32 {
-	buf := o.getInt32s(8)
+func escapeReturn() []int32 {
+	buf := arena.Int32s.Get(8)
 	return buf // want "escapes via return"
 }
 
 // Documented hand-offs annotate the return with a reason.
-func escapeReturnDocumented(o Options) []int32 {
-	buf := o.getInt32s(8)
-	//lint:poollifecycle-ok the caller is documented to put the buffer back via putInt32s
+func escapeReturnDocumented() []int32 {
+	buf := arena.Int32s.Get(8)
+	//lint:poollifecycle-ok the caller is documented to put the buffer back via arena.Int32s.Put
 	return buf
 }
 
@@ -125,68 +117,68 @@ type holder struct{ buf []int32 }
 
 // Escapes hand ownership away, so the escape itself is the finding — the
 // buffer is no longer tracked afterwards and the leak check stays quiet.
-func escapeFieldStore(o Options, h *holder) {
-	buf := o.getInt32s(8)
+func escapeFieldStore(h *holder) {
+	buf := arena.Int32s.Get(8)
 	h.buf = buf // want "stored outside the function's scope"
 }
 
-func escapeCompositeLit(o Options) {
-	buf := o.getInt32s(8)
+func escapeCompositeLit() {
+	buf := arena.Int32s.Get(8)
 	use(holder{buf: buf}) // want "escapes into a composite literal"
 }
 
-func escapeGoroutine(o Options) {
-	buf := o.getInt32s(8)
+func escapeGoroutine() {
+	buf := arena.Int32s.Get(8)
 	go func() { // want "captured by a goroutine"
 		use(buf)
 	}()
 }
 
 // Borrowing — passing the buffer as a plain call argument — is fine.
-func borrowIsFine(o Options) {
-	buf := o.getInt32s(8)
+func borrowIsFine() {
+	buf := arena.Int32s.Get(8)
 	use(buf)
-	o.putInt32s(buf)
+	arena.Int32s.Put(buf)
 }
 
 // --- append and overwrite ---
 
-func appendGrowth(o Options) {
-	buf := o.getInt32s(8)
+func appendGrowth() {
+	buf := arena.Int32s.Get(8)
 	buf = append(buf, 1) // want "append on pooled buffer"
-	o.putInt32s(buf)
+	arena.Int32s.Put(buf)
 }
 
 // The append result still wraps the pooled memory (the call sees a fresh
 // get as a direct argument), so the never-put result also leaks.
-func appendFreshGet(o Options) {
-	buf := append(o.getInt32s(8), 1) // want "append on pooled buffer" "not returned to the pool on every path"
+func appendFreshGet() {
+	buf := append(arena.Int32s.Get(8), 1) // want "append on pooled buffer" "not returned to the pool on every path"
 	use(buf)
 }
 
 // The overwrite clobbers the only reference, so the overwrite itself is
 // the finding; afterwards the buffer is untracked.
-func overwriteWhileLive(o Options) {
-	buf := o.getInt32s(8)
+func overwriteWhileLive() {
+	buf := arena.Int32s.Get(8)
 	use(buf)
 	buf = make([]int32, 4) // want "overwritten while still checked out"
 	use(buf)
 }
 
 // Re-slicing keeps the same backing buffer checked out — not an overwrite.
-func resliceIsFine(o Options) {
-	buf := o.getInt32s(8)
+func resliceIsFine() {
+	buf := arena.Int32s.Get(8)
 	buf = buf[:4]
 	use(buf)
-	o.putInt32s(buf)
+	arena.Int32s.Put(buf)
 }
 
 // Ownership moves with a plain copy; the put through the new name counts.
-func ownershipMove(o Options) {
-	buf := o.getInt32s(8)
+func ownershipMove() {
+	buf := arena.Int32s.Get(8)
 	alias := buf
 	use(alias)
-	o.putInt32s(alias)
+	arena.Int32s.Put(alias)
 }
 
 // --- function-literal splicing ---
@@ -195,25 +187,25 @@ func ownershipMove(o Options) {
 // argument exactly once; the analyzer splices the body inline.
 func run(fn func()) { fn() }
 
-func putInsideCallLiteral(o Options) {
-	buf := o.getInt32s(8)
+func putInsideCallLiteral() {
+	buf := arena.Int32s.Get(8)
 	run(func() {
 		use(buf)
-		o.putInt32s(buf)
+		arena.Int32s.Put(buf)
 	})
 }
 
-func getInsideCallLiteral(o Options) {
+func getInsideCallLiteral() {
 	run(func() {
-		buf := o.getInt32s(8) // want "not returned to the pool on every path"
+		buf := arena.Int32s.Get(8) // want "not returned to the pool on every path"
 		use(buf)
 	})
 }
 
 // --- directive hygiene ---
 
-func bareDirective(o Options) []int32 {
-	buf := o.getInt32s(8)
+func bareDirective() []int32 {
+	buf := arena.Int32s.Get(8)
 	//lint:poollifecycle-ok // want "needs a justification"
 	return buf
 }

@@ -4,20 +4,20 @@ import (
 	"math"
 	"sync/atomic"
 
+	"holistic/internal/arena"
 	"holistic/internal/frame"
 	"holistic/internal/mst"
 	"holistic/internal/rangetree"
 )
 
-// Chunk-level batched probing. The per-row probe bodies in eval_mst.go issue
-// one or a few MST queries per row; the collectors here gather a whole
-// parallel task chunk's query descriptors into pooled structure-of-arrays
-// buffers, dedup rows whose descriptors exactly repeat the previous row's
-// (peer rows of a RANGE frame, constant frames), hand the surviving queries
-// to the batched level-synchronous kernels (mst.CountBelowBatch /
-// mst.SelectKthRangesBatch), and then emit per-row results from the kernel
-// answers. Options.NoBatch restores the scalar per-row descents; results are
-// byte-identical either way (batch_equiv_test.go).
+// Chunk-level batched probing, the only probe path of the merge-sort-tree
+// families in eval_mst.go. The collectors here gather a whole parallel task
+// chunk's query descriptors into pooled structure-of-arrays buffers, dedup
+// rows whose descriptors exactly repeat the previous row's (peer rows of a
+// RANGE frame, constant frames), hand the surviving queries to the batched
+// level-synchronous kernels (mst.CountBelowBatch / mst.SelectKthRangesBatch),
+// and then emit per-row results from the kernel answers. The brute-force
+// reference evaluator checks them (batch_equiv_test.go).
 
 // batchFamily partitions the batched collectors into kernel families for
 // the per-family metric split (windowd_mst_batch_queries_family /
@@ -85,21 +85,6 @@ func BatchFamilySnapshot() []BatchFamilyStat {
 	return out
 }
 
-// batchEnabled decides whether the batched collectors run for a partition of
-// n rows: Options.NoBatch always wins; otherwise a configured tuner picks
-// per size (small partitions amortize nothing and the scalar descent's lower
-// constant wins — the crossover lives in the tuner table); with neither set,
-// batching is on.
-func (o Options) batchEnabled(n int) bool {
-	if o.NoBatch {
-		return false
-	}
-	if o.Tree.Tuning != nil {
-		return o.Tree.Tuning.Choose(n).Batch
-	}
-	return true
-}
-
 // batchAgg accumulates one evaluation's batch counters across its parallel
 // probe chunks; runBatched folds it into the process-wide totals and the
 // phase span attributes.
@@ -108,13 +93,14 @@ type batchAgg struct {
 	dedup   atomic.Int64
 }
 
-// runBatched runs body over all partition rows in parallel chunks under an
-// "mst.query.batch" phase span (the probe phase nests beneath it), recording
-// the batch query and dedup counts as span attributes and adding them to the
-// process-wide counters.
+// runBatched runs body over all partition rows in parallel chunks under a
+// structural "mst.query.batch" span (the probe phase nests beneath it, so
+// phase totals count the probe time once), recording the batch query and
+// dedup counts as span attributes and adding them to the process-wide
+// counters.
 func runBatched(p *partition, opt Options, fam batchFamily, body func(lo, hi int, agg *batchAgg)) error {
 	agg := &batchAgg{}
-	sp := opt.trace.Phase("mst.query.batch")
+	sp := opt.trace.Child("mst.query.batch")
 	if sp != nil {
 		opt.trace = sp
 	}
@@ -150,13 +136,13 @@ func sameRanges(ranges [][2]int, prev [3][2]int, prevNR int) bool {
 // whole-span count query per row — deduped when the span repeats — plus the
 // per-row exclusion-hole correction, which never touches the tree.
 func distinctCountChunk(p *partition, fl *filtered, fc *frame.Computer, tree *mst.Tree,
-	prev, next []int64, out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
+	prev, next []int64, out *outBuilder, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := opt.getInt32s(5 * n)
+	ib := arena.Int32s.Get(5 * n)
 	qlo, qhi := ib[:n], ib[n:2*n]
 	qout := ib[2*n : 3*n]
 	rowSlot, rowAdj := ib[3*n:4*n], ib[4*n:5*n]
-	qthr := opt.getInt64s(n)
+	qthr := arena.Int64s.Get(n)
 
 	var scratch, mapped [3][2]int
 	s, dedup := 0, 0
@@ -204,8 +190,8 @@ func distinctCountChunk(p *partition, fl *filtered, fc *frame.Computer, tree *ms
 	}
 	agg.queries.Add(int64(s))
 	agg.dedup.Add(int64(dedup))
-	opt.putInt64s(qthr)
-	opt.putInt32s(ib)
+	arena.Int64s.Put(qthr)
+	arena.Int32s.Put(ib)
 }
 
 // rankChunk evaluates one probe chunk of the counting rank family (RANK,
@@ -213,13 +199,13 @@ func distinctCountChunk(p *partition, fl *filtered, fc *frame.Computer, tree *ms
 // range per row, all sharing the row's rank-key threshold, deduped when both
 // the ranges and the threshold repeat (peer rows of a RANGE frame).
 func rankChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree *mst.Tree,
-	keysAll []int64, out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
+	keysAll []int64, out *outBuilder, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := opt.getInt32s(12 * n)
+	ib := arena.Int32s.Get(12 * n)
 	qlo, qhi := ib[:3*n], ib[3*n:6*n]
 	qout := ib[6*n : 9*n]
 	rowSlot, rowN, rowSize := ib[9*n:10*n], ib[10*n:11*n], ib[11*n:12*n]
-	qthr := opt.getInt64s(3 * n)
+	qthr := arena.Int64s.Get(3 * n)
 
 	var scratch, mapped [3][2]int
 	var prevRanges [3][2]int
@@ -305,8 +291,8 @@ func rankChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree
 	}
 	agg.queries.Add(int64(s))
 	agg.dedup.Add(int64(dedup))
-	opt.putInt64s(qthr)
-	opt.putInt32s(ib)
+	arena.Int64s.Put(qthr)
+	arena.Int32s.Put(ib)
 }
 
 // selectChunk evaluates one probe chunk of the select family
@@ -317,14 +303,14 @@ func rankChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree
 // from the frame size) verbatim under constant and peer-shared frames; those
 // rows reuse the previous row's query slots.
 func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tree *mst.Tree,
-	valueCol *Column, out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
+	valueCol *Column, out *outBuilder, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := opt.getInt32s(10*n + 1)
+	ib := arena.Int32s.Get(10*n + 1)
 	off := ib[: 2*n+1 : 2*n+1]
 	qk := ib[2*n+1 : 4*n+1]
 	qout := ib[4*n+1 : 6*n+1]
 	rowSlot, rowN, rowSize := ib[6*n+1:7*n+1], ib[7*n+1:8*n+1], ib[8*n+1:9*n+1]
-	vb := opt.getInt64s(12 * n)
+	vb := arena.Int64s.Get(12 * n)
 	vlo, vhi := vb[:6*n], vb[6*n:]
 
 	var scratch, mapped [3][2]int
@@ -407,8 +393,7 @@ func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tr
 		v := valueCol.Numeric(src)
 		if rowN[ri] == 2 {
 			// Recompute the interpolation weight from the frame size: the
-			// same floats the collection pass derived, so bitwise identical
-			// to the scalar path.
+			// same floats the collection pass derived.
 			rn := f.Fraction * float64(int(rowSize[ri])-1)
 			frac := rn - math.Floor(rn)
 			if pos1 := qout[slot+1]; pos1 >= 0 && frac > 0 {
@@ -420,8 +405,8 @@ func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tr
 	}
 	agg.queries.Add(int64(s))
 	agg.dedup.Add(int64(dedup))
-	opt.putInt64s(vb)
-	opt.putInt32s(ib)
+	arena.Int64s.Put(vb)
+	arena.Int32s.Put(ib)
 }
 
 // distinctAggChunk evaluates one probe chunk of SUM/AVG(DISTINCT x): one
@@ -429,21 +414,20 @@ func selectChunk(p *partition, f *FuncSpec, fl *filtered, fc *frame.Computer, tr
 // exactly repeat the previous row's, in which case the rows share aggregate,
 // count AND hole correction — answered by the annotated tree's batched
 // kernel, whose per-query count output feeds the NULL rule without a second
-// tree pass. The exclusion-hole subtraction runs once per slot in the
-// scalar walk's hole order, so emitted floats are bitwise identical to the
-// scalar path.
+// tree pass. The exclusion-hole subtraction runs once per slot, in
+// ascending hole order, so rows sharing a slot emit bitwise identical floats.
 func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tree *mst.AnnotatedTree[S],
 	prev, next []int64, values []S, sub func(a, b S) S, emit func(row int, v S),
-	out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
+	out *outBuilder, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := opt.getInt32s(12 * n)
+	ib := arena.Int32s.Get(12 * n)
 	rowSlot := ib[:n]
 	qlo, qhi := ib[n:2*n], ib[2*n:3*n]
 	kcnt := ib[3*n : 4*n]
 	slotNR, slotTotal := ib[4*n:5*n], ib[5*n:6*n]
 	slotRanges := ib[6*n : 12*n] // 3 ranges × 2 bounds per slot
-	qthr := opt.getInt64s(n)
-	okv := opt.getBools(n)
+	qthr := arena.Int64s.Get(n)
+	okv := arena.Bools.Get(n)
 
 	var scratch, mapped [3][2]int
 	var prevRanges [3][2]int
@@ -482,7 +466,7 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 	results := make([]S, s)
 	tree.AggBelowBatch(qlo[:s], qhi[:s], qthr[:s], results, okv[:s], kcnt[:s])
 
-	// Per-slot hole correction and NULL rule, exactly the scalar order.
+	// Per-slot hole correction and NULL rule.
 	for sl := 0; sl < s; sl++ {
 		nr := int(slotNR[sl])
 		for ro := 0; ro < nr; ro++ {
@@ -510,9 +494,9 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 	}
 	agg.queries.Add(int64(s))
 	agg.dedup.Add(int64(dedup))
-	opt.putBools(okv)
-	opt.putInt64s(qthr)
-	opt.putInt32s(ib)
+	arena.Bools.Put(okv)
+	arena.Int64s.Put(qthr)
+	arena.Int32s.Put(ib)
 }
 
 // denseRankChunk evaluates one probe chunk of framed DENSE_RANK: one
@@ -522,15 +506,15 @@ func distinctAggChunk[S any](p *partition, fl *filtered, fc *frame.Computer, tre
 // exclusion-hole correction, which never touches the tree.
 func denseRankChunk(p *partition, fl *filtered, fc *frame.Computer, rt *rangetree.DenseRankTree,
 	ranksAll, ranksKept, prevKept, nextKept []int64,
-	out *outBuilder, opt Options, agg *batchAgg, lo, hi int) {
+	out *outBuilder, agg *batchAgg, lo, hi int) {
 	n := hi - lo
-	ib := opt.getInt32s(11 * n)
+	ib := arena.Int32s.Get(11 * n)
 	rowSlot := ib[:n]
 	qlo, qhi := ib[n:2*n], ib[2*n:3*n]
 	qout := ib[3*n : 4*n]
 	slotNR := ib[4*n : 5*n]
 	slotRanges := ib[5*n : 11*n]
-	lb := opt.getInt64s(2 * n)
+	lb := arena.Int64s.Get(2 * n)
 	qrank, qprev := lb[:n], lb[n:]
 
 	var scratch, mapped [3][2]int
@@ -597,6 +581,6 @@ func denseRankChunk(p *partition, fl *filtered, fc *frame.Computer, rt *rangetre
 	}
 	agg.queries.Add(int64(s))
 	agg.dedup.Add(int64(dedup))
-	opt.putInt64s(lb)
-	opt.putInt32s(ib)
+	arena.Int64s.Put(lb)
+	arena.Int32s.Put(ib)
 }

@@ -7,15 +7,13 @@ import (
 
 	"holistic/internal/frame"
 	"holistic/internal/mst"
-	"holistic/internal/mst/tune"
 )
 
-// The batched level-synchronous kernels must be invisible in results: for
-// any dataset, frame and window function, evaluation with the batched probe
-// path returns byte-identical output to Options.NoBatch (the scalar per-row
-// descents). A divergence means a collector mis-translated a row's query
-// set, the dedup rule reused a non-identical query, or a kernel diverged
-// from its scalar counterpart.
+// The batched level-synchronous kernels are the only probe path, so they are
+// checked against the brute-force reference evaluator: for any dataset,
+// frame and window function, every output row must match. A divergence
+// means a collector mis-translated a row's query set, the dedup rule reused
+// a non-identical query, or a kernel answered wrongly.
 
 func TestBatchEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
@@ -39,23 +37,15 @@ func TestBatchEquivalenceRandomized(t *testing.T) {
 		}
 		// Small task sizes so chunk boundaries (where dedup resets) fall
 		// inside partitions.
-		batchedOpt := Options{Tree: treeVariants[trial%len(treeVariants)], TaskSize: 16}
-		scalarOpt := batchedOpt
-		scalarOpt.NoBatch = true
-
-		batched, err := Run(tab, w, batchedOpt)
+		res, err := Run(tab, w, Options{Tree: treeVariants[trial%len(treeVariants)], TaskSize: 16})
 		if err != nil {
-			t.Fatalf("trial %d batched: %v", trial, err)
-		}
-		scalar, err := Run(tab, w, scalarOpt)
-		if err != nil {
-			t.Fatalf("trial %d scalar: %v", trial, err)
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for i := range w.Funcs {
 			f := &w.Funcs[i]
 			label := fmt.Sprintf("trial %d %v (%s) frame{%v %v/%v ex%d}",
 				trial, f.Name, f.Output, fs.Mode, fs.Start.Type, fs.End.Type, fs.Exclude)
-			assertColumnsIdentical(t, label, batched.Column(f.Output), scalar.Column(f.Output))
+			compareToReference(t, tab, w, f, res.Column(f.Output), label)
 		}
 	}
 }
@@ -63,7 +53,7 @@ func TestBatchEquivalenceRandomized(t *testing.T) {
 // TestBatchEquivalenceDedupHeavy pins the adjacent-row dedup path: a default
 // RANGE frame over a low-cardinality ORDER BY key makes every peer group
 // share one frame, so most rows reuse their predecessor's queries. Results
-// must still match the scalar path exactly, and the dedup counter must see
+// must still match the reference evaluator, and the dedup counter must see
 // the reuse.
 func TestBatchEquivalenceDedupHeavy(t *testing.T) {
 	rng := rand.New(rand.NewSource(778))
@@ -96,24 +86,17 @@ func TestBatchEquivalenceDedupHeavy(t *testing.T) {
 	if after.DedupHits <= before.DedupHits {
 		t.Errorf("dedup-heavy run did not raise the dedup counter: %+v -> %+v", before, after)
 	}
-	scalar, err := Run(tab, w, Options{TaskSize: 64, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := BatchSnapshot(); got != after {
-		t.Errorf("NoBatch run moved the batch counters: %+v -> %+v", after, got)
-	}
 	for i := range w.Funcs {
 		f := &w.Funcs[i]
-		assertColumnsIdentical(t, f.Output, batched.Column(f.Output), scalar.Column(f.Output))
+		compareToReference(t, tab, w, f, batched.Column(f.Output), f.Output)
 	}
 }
 
-// TestBatchEquivalenceAggRankFamilies pins the PR 10 kernels: the batched
-// SUM/AVG(DISTINCT) collector and the batched DENSE_RANK collector must move
+// TestBatchEquivalenceAggRankFamilies pins the aggregate and dense-rank
+// kernels: the SUM/AVG(DISTINCT) and DENSE_RANK collectors must move
 // their per-family counters (including the adjacent-frame dedup hits that a
-// low-cardinality RANGE frame provokes), and their results must stay
-// byte-identical to the scalar per-row descents.
+// low-cardinality RANGE frame provokes), and their results must match the
+// reference evaluator.
 func TestBatchEquivalenceAggRankFamilies(t *testing.T) {
 	rng := rand.New(rand.NewSource(779))
 	tab := randTable(rng, 500)
@@ -157,50 +140,8 @@ func TestBatchEquivalenceAggRankFamilies(t *testing.T) {
 			t.Errorf("family %q: dedup-heavy run did not raise the dedup counter: %+v -> %+v", fam, b, a)
 		}
 	}
-	scalar, err := Run(tab, w, Options{TaskSize: 64, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range w.Funcs {
 		f := &w.Funcs[i]
-		assertColumnsIdentical(t, f.Output, batched.Column(f.Output), scalar.Column(f.Output))
-	}
-}
-
-// TestBatchTunerGatesKernels checks Options.Tree.Tuning's Batch flag: a
-// tuner whose table says "scalar at every size" must keep the batch counters
-// still while producing identical results.
-func TestBatchTunerGatesKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(780))
-	tab := randTable(rng, 200)
-	w := &WindowSpec{
-		OrderBy:  []SortKey{{Column: "d"}},
-		Frame:    frame.Spec{Mode: frame.Rows, Start: frame.Bound{Type: frame.Preceding, Offset: 9}, End: frame.Bound{Type: frame.CurrentRow}},
-		FrameSet: true,
-		Funcs: []FuncSpec{
-			{Name: CountDistinct, Output: "cd", Arg: "v"},
-			{Name: SumDistinct, Output: "sd", Arg: "v"},
-			{Name: DenseRank, Output: "dr", OrderBy: []SortKey{{Column: "v"}}},
-		},
-	}
-	scalarTab, err := tune.NewTable([]tune.Row{{MaxN: 1 << 62, Fanout: 8, SampleEvery: 8, Batch: false}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := BatchSnapshot()
-	tuned, err := Run(tab, w, Options{TaskSize: 64, Tree: mst.Options{Tuning: scalarTab}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := BatchSnapshot(); got != before {
-		t.Errorf("tuner with Batch=false still moved the batch counters: %+v -> %+v", before, got)
-	}
-	plain, err := Run(tab, w, Options{TaskSize: 64, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range w.Funcs {
-		f := &w.Funcs[i]
-		assertColumnsIdentical(t, f.Output, tuned.Column(f.Output), plain.Column(f.Output))
+		compareToReference(t, tab, w, f, batched.Column(f.Output), f.Output)
 	}
 }

@@ -48,6 +48,20 @@ func benchPartition(b *testing.B, n int, f *FuncSpec) (*partition, *frame.Comput
 	return p, fc
 }
 
+// distinctCount is the scalar per-row COUNT(DISTINCT) probe the batched
+// collector replaces — one whole-span mst descent plus the hole-chain
+// correction — kept as the benchmarks' scalar arm.
+func distinctCount(tree *mst.Tree, prev, next []int64, ranges [][2]int) int {
+	if len(ranges) == 0 {
+		return 0
+	}
+	a := ranges[0][0]
+	d := ranges[len(ranges)-1][1]
+	cnt := tree.CountBelow(a, d, int64(a)+1)
+	forEachFullyExcluded(prev, next, ranges, func(int) { cnt-- })
+	return cnt
+}
+
 // BenchmarkEvalMSTCount probes COUNT(DISTINCT) per row against a pre-built
 // tree: one frame computation plus one cascaded count query.
 func BenchmarkEvalMSTCount(b *testing.B) {
@@ -55,7 +69,7 @@ func BenchmarkEvalMSTCount(b *testing.B) {
 	f := &FuncSpec{Name: CountDistinct, Output: "x", Arg: "v"}
 	p, fc := benchPartition(b, n, f)
 	var opt Options
-	fl := newFiltered(p, &p.w.Funcs[0], f.Arg, opt)
+	fl := newFiltered(p, &p.w.Funcs[0], f.Arg)
 	prev, next := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
 	tree, err := mst.Build(prev, opt.Tree)
 	if err != nil {
@@ -82,7 +96,7 @@ func BenchmarkEvalMSTSelect(b *testing.B) {
 	f := &FuncSpec{Name: FirstValue, Output: "x", Arg: "v", OrderBy: []SortKey{{Column: "v"}}}
 	p, fc := benchPartition(b, n, f)
 	var opt Options
-	fl := newFiltered(p, &p.w.Funcs[0], "", opt)
+	fl := newFiltered(p, &p.w.Funcs[0], "")
 	sortedKept := keptOrder(fl, p.sortedByFuncOrder(&p.w.Funcs[0]), make([]int32, fl.k))
 	perm := preprocess.Permutation(sortedKept)
 	tree, err := mst.Build(perm, opt.Tree)
@@ -127,7 +141,7 @@ func BenchmarkEvalMSTCountBatch(b *testing.B) {
 		f := &FuncSpec{Name: CountDistinct, Output: "x", Arg: "v"}
 		p, fc := benchPartition(b, size.n, f)
 		var opt Options
-		fl := newFiltered(p, &p.w.Funcs[0], f.Arg, opt)
+		fl := newFiltered(p, &p.w.Funcs[0], f.Arg)
 		prev, next := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
 		tree, err := mst.Build(prev, opt.Tree)
 		if err != nil {
@@ -141,7 +155,7 @@ func BenchmarkEvalMSTCountBatch(b *testing.B) {
 				var scratch, mapped [3][2]int
 				const chunkRows = 4096
 				// Warm the kernel scratch pools so steady state is measured.
-				distinctCountChunk(p, fl, fc, tree, prev, next, out, opt, agg, 0, min(chunkRows, size.n))
+				distinctCountChunk(p, fl, fc, tree, prev, next, out, agg, 0, min(chunkRows, size.n))
 				b.ReportAllocs()
 				b.ResetTimer()
 				row := 0
@@ -154,7 +168,7 @@ func BenchmarkEvalMSTCountBatch(b *testing.B) {
 						c = b.N - done
 					}
 					if arm == "batched" {
-						distinctCountChunk(p, fl, fc, tree, prev, next, out, opt, agg, row, row+c)
+						distinctCountChunk(p, fl, fc, tree, prev, next, out, agg, row, row+c)
 					} else {
 						for i := row; i < row+c; i++ {
 							ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
@@ -179,7 +193,7 @@ func BenchmarkEvalMSTSelectBatch(b *testing.B) {
 	f := &FuncSpec{Name: FirstValue, Output: "x", Arg: "v", OrderBy: []SortKey{{Column: "v"}}}
 	p, fc := benchPartition(b, n, f)
 	var opt Options
-	fl := newFiltered(p, &p.w.Funcs[0], "", opt)
+	fl := newFiltered(p, &p.w.Funcs[0], "")
 	sortedKept := keptOrder(fl, p.sortedByFuncOrder(&p.w.Funcs[0]), make([]int32, fl.k))
 	perm := preprocess.Permutation(sortedKept)
 	tree, err := mst.Build(perm, opt.Tree)
@@ -195,7 +209,7 @@ func BenchmarkEvalMSTSelectBatch(b *testing.B) {
 			var scratch, mapped [3][2]int
 			var r64 [3][2]int64
 			const chunkRows = 4096
-			selectChunk(p, &p.w.Funcs[0], fl, fc, tree, valueCol, out, opt, agg, 0, chunkRows)
+			selectChunk(p, &p.w.Funcs[0], fl, fc, tree, valueCol, out, agg, 0, chunkRows)
 			b.ReportAllocs()
 			b.ResetTimer()
 			row := 0
@@ -208,7 +222,7 @@ func BenchmarkEvalMSTSelectBatch(b *testing.B) {
 					c = b.N - done
 				}
 				if arm == "batched" {
-					selectChunk(p, &p.w.Funcs[0], fl, fc, tree, valueCol, out, opt, agg, row, row+c)
+					selectChunk(p, &p.w.Funcs[0], fl, fc, tree, valueCol, out, agg, row, row+c)
 				} else {
 					for i := row; i < row+c; i++ {
 						ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
@@ -284,7 +298,7 @@ func BenchmarkEvalMSTAggBatch(b *testing.B) {
 		f := &FuncSpec{Name: SumDistinct, Output: "x", Arg: "v"}
 		p, fc := benchPartition(b, size.n, f)
 		var opt Options
-		fl := newFiltered(p, &p.w.Funcs[0], f.Arg, opt)
+		fl := newFiltered(p, &p.w.Funcs[0], f.Arg)
 		prev, next := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
 		values := make([]int64, fl.k)
 		for j := range values {
@@ -304,7 +318,7 @@ func BenchmarkEvalMSTAggBatch(b *testing.B) {
 				agg := &batchAgg{}
 				var scratch, mapped [3][2]int
 				const chunkRows = 4096
-				distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, opt, agg, 0, min(chunkRows, size.n))
+				distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, agg, 0, min(chunkRows, size.n))
 				b.ReportAllocs()
 				b.ResetTimer()
 				row := 0
@@ -317,7 +331,7 @@ func BenchmarkEvalMSTAggBatch(b *testing.B) {
 						c = b.N - done
 					}
 					if arm == "batched" {
-						distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, opt, agg, row, row+c)
+						distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, agg, row, row+c)
 					} else {
 						for i := row; i < row+c; i++ {
 							ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
@@ -367,7 +381,7 @@ func BenchmarkEvalMSTDenseRankBatch(b *testing.B) {
 		f := &FuncSpec{Name: DenseRank, Output: "x", OrderBy: []SortKey{{Column: "v"}}}
 		p, fc := benchPartition(b, size.n, f)
 		var opt Options
-		fl := newFiltered(p, &p.w.Funcs[0], "", opt)
+		fl := newFiltered(p, &p.w.Funcs[0], "")
 		sortedAll := p.sortedByFuncOrder(&p.w.Funcs[0])
 		ranksAll, _ := preprocess.DenseRanks(sortedAll, p.funcEqual(&p.w.Funcs[0]))
 		ranksKept := make([]int64, fl.k)
@@ -397,7 +411,7 @@ func BenchmarkEvalMSTDenseRankBatch(b *testing.B) {
 				agg := &batchAgg{}
 				var scratch, mapped [3][2]int
 				const chunkRows = 4096
-				denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, opt, agg, 0, min(chunkRows, size.n))
+				denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, agg, 0, min(chunkRows, size.n))
 				b.ReportAllocs()
 				b.ResetTimer()
 				row := 0
@@ -410,7 +424,7 @@ func BenchmarkEvalMSTDenseRankBatch(b *testing.B) {
 						c = b.N - done
 					}
 					if arm == "batched" {
-						denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, opt, agg, row, row+c)
+						denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, agg, row, row+c)
 					} else {
 						for i := row; i < row+c; i++ {
 							ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])

@@ -14,7 +14,7 @@ import (
 // they are part of the operator so that mixed queries run end-to-end and so
 // the segment-tree machinery exists as a competitor substrate.
 func evalDistributive(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
-	fl := newFiltered(p, f, f.Arg, opt)
+	fl := newFiltered(p, f, f.Arg)
 	col := p.t.Column(f.Arg)
 	switch f.Name {
 	case Sum:
@@ -136,7 +136,7 @@ func evalSegTree(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 	// the k-th frame row in function order, CountBelow counts rank
 	// thresholds — the same queries the merge sort tree answers, one
 	// log-factor slower.
-	st, fl, keysAll, sortedKept, err := buildSortedTreeState(p, f, opt)
+	st, fl, keysAll, sortedKept, err := buildSortedTreeState(p, f)
 	if err != nil {
 		return err
 	}
@@ -212,8 +212,8 @@ func evalSegTree(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 // the sorted-list segment tree: the filter context, per-row function-order
 // keys (dense ranks, or unique row numbers where ties must break), the kept
 // rows' sorted order, and the tree itself.
-func buildSortedTreeState(p *partition, f *FuncSpec, opt Options) (*segtree.SortedTree, *filtered, []int64, []int32, error) {
-	fl := newFiltered(p, f, selectDropColumn(p, f), opt)
+func buildSortedTreeState(p *partition, f *FuncSpec) (*segtree.SortedTree, *filtered, []int64, []int32, error) {
+	fl := newFiltered(p, f, selectDropColumn(p, f))
 	m := p.len()
 	sortedAll := p.sortedByFuncOrder(f)
 	unique := f.Name != Rank && f.Name != PercentRank && f.Name != CumeDist

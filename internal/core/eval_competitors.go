@@ -55,7 +55,7 @@ func filteredFrame(fl *filtered, fc *frame.Computer) incremental.FrameFunc {
 }
 
 func evalCompetitorDistinctCount(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
-	fl := newFiltered(p, f, f.Arg, opt)
+	fl := newFiltered(p, f, f.Arg)
 	keys := denseArgKeys(p, f, fl)
 	frameOf := filteredFrame(fl, fc)
 	res := make([]int64, p.len())
@@ -81,7 +81,7 @@ func evalCompetitorDistinctCount(p *partition, f *FuncSpec, fc *frame.Computer, 
 // numbers; the selected row number maps back to a row through the sorted
 // order.
 func evalCompetitorSelect(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
-	fl := newFiltered(p, f, selectDropColumn(p, f), opt)
+	fl := newFiltered(p, f, selectDropColumn(p, f))
 	cmpFunc := p.funcComparator(f)
 	sortedKept := preprocess.SortIndices(fl.k, func(a, b int) int { return cmpFunc(fl.local(a), fl.local(b)) })
 	keys := preprocess.RowNumbers(sortedKept)
@@ -167,7 +167,7 @@ func evalCompetitorSelect(p *partition, f *FuncSpec, fc *frame.Computer, out *ou
 // evalCompetitorRank evaluates the rank family with either per-frame scans
 // (naive) or a sliding counted B-tree (ostree).
 func evalCompetitorRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
-	fl := newFiltered(p, f, "", opt)
+	fl := newFiltered(p, f, "")
 	m := p.len()
 	sortedAll := p.sortedByFuncOrder(f)
 	unique := f.Name == RowNumber || f.Name == Ntile
@@ -254,7 +254,7 @@ func evalCompetitorRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outB
 // once for the row's own position, once for the adjusted selection.
 func evalNaiveLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
 	valueCol := p.t.Column(f.Arg)
-	fl := newFiltered(p, f, selectDropColumn(p, f), opt)
+	fl := newFiltered(p, f, selectDropColumn(p, f))
 	cmpFunc := p.funcComparator(f)
 	m := p.len()
 	sortedAll := p.sortedByFuncOrder(f)
@@ -320,9 +320,9 @@ func evalNaiveScan(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 		// a deliberately quadratic scan adds nothing for these.
 		return evalDistributive(p, f, fc, out, opt)
 	}
-	fl := newFiltered(p, f, f.Arg, opt)
+	fl := newFiltered(p, f, f.Arg)
 	if f.Name == DenseRank {
-		fl = newFiltered(p, f, "", opt)
+		fl = newFiltered(p, f, "")
 	}
 	frameOf := filteredFrame(fl, fc)
 	switch f.Name {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 
+	"holistic/internal/arena"
 	"holistic/internal/frame"
 	"holistic/internal/mst"
 	"holistic/internal/preprocess"
@@ -20,10 +21,10 @@ type filtered struct {
 	k     int               // filtered length
 }
 
-func newFiltered(p *partition, f *FuncSpec, dropNullCol string, opt Options) *filtered {
-	mask := p.includeMask(f, dropNullCol, opt)
+func newFiltered(p *partition, f *FuncSpec, dropNullCol string) *filtered {
+	mask := p.includeMask(f, dropNullCol)
 	r := remapFor(mask)
-	opt.putBools(mask) // NewRemap copied what it needs
+	arena.Bools.Put(mask) // NewRemap copied what it needs
 	return &filtered{p: p, remap: r, k: filteredLen(p, r)}
 }
 
@@ -108,7 +109,7 @@ func evalCounts(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, 
 	if f.Name == Count {
 		drop = f.Arg
 	}
-	fl := newFiltered(p, f, drop, opt)
+	fl := newFiltered(p, f, drop)
 	return forEachRow(p, opt, func(lo, hi int) {
 		var scratch, mapped [3][2]int
 		for i := lo; i < hi; i++ {
@@ -138,14 +139,14 @@ func buildDistinctInputs(fl *filtered, f *FuncSpec, opt Options) (prev, next []i
 	col := fl.p.t.Column(f.Arg)
 	var hashes []uint64
 	opt.trace.Timed("preprocess: populate hashes", func() {
-		hashes = opt.getUint64s(fl.k)
+		hashes = arena.Uint64s.Get(fl.k)
 		for j := range hashes {
 			hashes[j] = col.hashAt(fl.orig(j))
 		}
 	})
 	var sorted []int32
 	opt.trace.Timed("preprocess: sort hashes", func() {
-		sorted = preprocess.SortIndicesIn(opt.getInt32s(fl.k), fl.k, func(a, b int) int {
+		sorted = preprocess.SortIndicesIn(arena.Int32s.Get(fl.k), fl.k, func(a, b int) int {
 			ha, hb := hashes[a], hashes[b]
 			if ha != hb {
 				if ha < hb {
@@ -169,8 +170,8 @@ func buildDistinctInputs(fl *filtered, f *FuncSpec, opt Options) (prev, next []i
 			}
 		}
 	})
-	opt.putInt32s(sorted)
-	opt.putUint64s(hashes)
+	arena.Int32s.Put(sorted)
+	arena.Uint64s.Put(hashes)
 	return prev, next
 }
 
@@ -228,7 +229,7 @@ func forEachFullyExcluded(prev, next []int64, ranges [][2]int, visit func(h int)
 // are cache-shared across queries: they depend only on the argument column,
 // the filter and the tree options, never on the frame.
 func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
-	fl := newFiltered(p, f, f.Arg, opt)
+	fl := newFiltered(p, f, f.Arg)
 
 	switch f.Name {
 	case CountDistinct:
@@ -247,17 +248,8 @@ func evalDistinct(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder
 		if err != nil {
 			return err
 		}
-		if !opt.batchEnabled(p.len()) {
-			return forEachRow(p, opt, func(lo, hi int) {
-				var scratch, mapped [3][2]int
-				for i := lo; i < hi; i++ {
-					ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-					out.setInt(p.orig(i), int64(distinctCount(st.tree, st.prev, st.next, ranges)))
-				}
-			})
-		}
 		return runBatched(p, opt, famCount, func(lo, hi int, agg *batchAgg) {
-			distinctCountChunk(p, fl, fc, st.tree, st.prev, st.next, out, opt, agg, lo, hi)
+			distinctCountChunk(p, fl, fc, st.tree, st.prev, st.next, out, agg, lo, hi)
 		})
 
 	case SumDistinct:
@@ -290,19 +282,6 @@ type avgState struct {
 	n   int64
 }
 
-// distinctCount counts distinct values over a (possibly holey) frame: a
-// single whole-span query plus the hole-chain correction.
-func distinctCount(tree *mst.Tree, prev, next []int64, ranges [][2]int) int {
-	if len(ranges) == 0 {
-		return 0
-	}
-	a := ranges[0][0]
-	d := ranges[len(ranges)-1][1]
-	cnt := tree.CountBelow(a, d, int64(a)+1)
-	forEachFullyExcluded(prev, next, ranges, func(int) { cnt-- })
-	return cnt
-}
-
 // runSumDistinct evaluates SUM/AVG(DISTINCT) generically over the aggregate
 // state type. Exclusion holes are corrected by subtracting the states of
 // fully excluded values — SUM and AVG are invertible, so this stays exact.
@@ -332,38 +311,8 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 		return err
 	}
 	prev, next, values, tree := st.prev, st.next, st.values, st.tree
-	if opt.batchEnabled(p.len()) {
-		return runBatched(p, opt, famAgg, func(lo, hi int, agg *batchAgg) {
-			distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, opt, agg, lo, hi)
-		})
-	}
-	return forEachRow(p, opt, func(lo, hi int) {
-		var scratch, mapped [3][2]int
-		for i := lo; i < hi; i++ {
-			ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-			row := p.orig(i)
-			if len(ranges) == 0 {
-				out.setNull(row)
-				continue
-			}
-			a := ranges[0][0]
-			d := ranges[len(ranges)-1][1]
-			agg, ok := tree.AggBelow(a, d, int64(a)+1)
-			removed := 0
-			forEachFullyExcluded(prev, next, ranges, func(h int) {
-				agg = sub(agg, values[h])
-				removed++
-			})
-			total := 0
-			for _, r := range ranges {
-				total += r[1] - r[0]
-			}
-			if !ok || total == 0 || tree.CountBelow(a, d, int64(a)+1)-removed == 0 {
-				out.setNull(row)
-				continue
-			}
-			emit(row, agg)
-		}
+	return runBatched(p, opt, famAgg, func(lo, hi int, agg *batchAgg) {
+		distinctAggChunk(p, fl, fc, tree, prev, next, values, sub, emit, out, agg, lo, hi)
 	})
 }
 
@@ -371,7 +320,7 @@ func runSumDistinct[S any](p *partition, f *FuncSpec, fc *frame.Computer, out *o
 // NTILE via counting queries on a merge sort tree over preprocessed rank
 // keys (§4.4, Figure 8).
 func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
-	fl := newFiltered(p, f, "", opt)
+	fl := newFiltered(p, f, "")
 
 	// Thresholds must exist for every row (also filtered-out ones), so rank
 	// keys are computed over the whole partition; the tree only holds the
@@ -402,14 +351,14 @@ func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuild
 				keysAll, _ = preprocess.DenseRanks(sortedAll, p.funcEqual(f))
 			}
 			// keysKept is a pure temporary: Build copies its input.
-			keysKept := opt.getInt64s(fl.k)
+			keysKept := arena.Int64s.Get(fl.k)
 			for j := range keysKept {
 				keysKept[j] = keysAll[fl.local(j)]
 			}
 			sp := opt.trace.Phase("build merge sort tree")
 			tree, buildErr := mst.Build(keysKept, opt.treeOptions(sp))
 			sp.End()
-			opt.putInt64s(keysKept)
+			arena.Int64s.Put(keysKept)
 			if buildErr != nil {
 				return cachedRank{}, 0, buildErr
 			}
@@ -421,64 +370,8 @@ func evalRankFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuild
 	}
 	keysAll, tree := st.keysAll, st.tree
 
-	if opt.batchEnabled(p.len()) {
-		return runBatched(p, opt, famRank, func(lo, hi int, agg *batchAgg) {
-			rankChunk(p, f, fl, fc, tree, keysAll, out, opt, agg, lo, hi)
-		})
-	}
-	return forEachRow(p, opt, func(lo, hi int) {
-		var scratch, mapped [3][2]int
-		for i := lo; i < hi; i++ {
-			ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-			row := p.orig(i)
-			size := 0
-			for _, r := range ranges {
-				size += r[1] - r[0]
-			}
-			countBelow := func(threshold int64) int64 {
-				cnt := 0
-				for _, r := range ranges {
-					cnt += tree.CountBelow(r[0], r[1], threshold)
-				}
-				return int64(cnt)
-			}
-			switch f.Name {
-			case Rank:
-				out.setInt(row, countBelow(keysAll[i])+1)
-			case RowNumber:
-				out.setInt(row, countBelow(keysAll[i])+1)
-			case PercentRank:
-				if size <= 1 {
-					out.setFloat(row, 0)
-				} else {
-					out.setFloat(row, float64(countBelow(keysAll[i]))/float64(size-1))
-				}
-			case CumeDist:
-				if size == 0 {
-					out.setNull(row)
-				} else {
-					out.setFloat(row, float64(countBelow(keysAll[i]+1))/float64(size))
-				}
-			case Ntile:
-				inFrame := fl.kept(i)
-				if inFrame {
-					inFrame = false
-					fj := fl.toFiltered(i)
-					for _, r := range ranges {
-						if fj >= r[0] && fj < r[1] {
-							inFrame = true
-							break
-						}
-					}
-				}
-				if !inFrame || size == 0 {
-					out.setNull(row)
-					continue
-				}
-				r := countBelow(keysAll[i])
-				out.setInt(row, ntileBucket(r, int64(size), f.N))
-			}
-		}
+	return runBatched(p, opt, famRank, func(lo, hi int, agg *batchAgg) {
+		rankChunk(p, f, fl, fc, tree, keysAll, out, agg, lo, hi)
 	})
 }
 
@@ -499,7 +392,7 @@ func ntileBucket(r, size, b int64) int64 {
 
 // evalDenseRank evaluates the framed DENSE_RANK with the range tree of §4.4.
 func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder, opt Options) error {
-	fl := newFiltered(p, f, "", opt)
+	fl := newFiltered(p, f, "")
 	st, err := cacheGet(opt, p.cacheKey("dense", orderSig(p, f), strconv.Quote(f.Filter), treeSig(opt.Tree)),
 		func() (cachedDense, int64, error) {
 			sortedAll := p.sortedByFuncOrder(f)
@@ -510,7 +403,7 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 			}
 			// sortedKept is a pure temporary; ranksKept/prevKept/nextKept are
 			// retained by the cache and stay make-allocated.
-			sortedKept := preprocess.SortIndicesByKeyIn(opt.getInt32s(fl.k), ranksKept)
+			sortedKept := preprocess.SortIndicesByKeyIn(arena.Int32s.Get(fl.k), ranksKept)
 			sameKept := func(a, b int) bool { return ranksKept[a] == ranksKept[b] }
 			prevKept := preprocess.PrevIndices(sortedKept, sameKept)
 			nextKept := make([]int64, fl.k)
@@ -522,7 +415,7 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 					nextKept[sortedKept[i-1]] = int64(sortedKept[i])
 				}
 			}
-			opt.putInt32s(sortedKept)
+			arena.Int32s.Put(sortedKept)
 			sp := opt.trace.Phase("build merge sort tree")
 			rt, buildErr := rangetree.New(ranksKept, prevKept, opt.treeOptions(sp))
 			sp.End()
@@ -537,30 +430,8 @@ func evalDenseRank(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilde
 	}
 	ranksAll, ranksKept, prevKept, nextKept, rt := st.ranksAll, st.ranksKept, st.prevKept, st.nextKept, st.rt
 
-	if opt.batchEnabled(p.len()) {
-		return runBatched(p, opt, famRank, func(lo, hi int, agg *batchAgg) {
-			denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, opt, agg, lo, hi)
-		})
-	}
-	return forEachRow(p, opt, func(lo, hi int) {
-		var scratch, mapped [3][2]int
-		for i := lo; i < hi; i++ {
-			ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-			row := p.orig(i)
-			if len(ranges) == 0 {
-				out.setInt(row, 1)
-				continue
-			}
-			a := ranges[0][0]
-			d := ranges[len(ranges)-1][1]
-			cnt := rt.CountDistinctBelow(a, d, ranksAll[i], int64(a)+1)
-			forEachFullyExcluded(prevKept, nextKept, ranges, func(h int) {
-				if ranksKept[h] < ranksAll[i] {
-					cnt--
-				}
-			})
-			out.setInt(row, int64(cnt)+1)
-		}
+	return runBatched(p, opt, famRank, func(lo, hi int, agg *batchAgg) {
+		denseRankChunk(p, fl, fc, rt, ranksAll, ranksKept, prevKept, nextKept, out, agg, lo, hi)
 	})
 }
 
@@ -579,17 +450,17 @@ func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBui
 			drop = f.Arg
 		}
 	}
-	fl := newFiltered(p, f, drop, opt)
+	fl := newFiltered(p, f, drop)
 	st, err := cacheGet(opt, p.cacheKey("select", orderSig(p, f), strconv.Quote(drop), strconv.Quote(f.Filter), treeSig(opt.Tree)),
 		func() (cachedSelect, int64, error) {
 			// Both arrays are pure temporaries: Build copies the permutation.
-			sortedKept := keptOrder(fl, p.sortedByFuncOrder(f), opt.getInt32s(fl.k))
-			perm := preprocess.PermutationIn(opt.getInt64s(fl.k), sortedKept)
+			sortedKept := keptOrder(fl, p.sortedByFuncOrder(f), arena.Int32s.Get(fl.k))
+			perm := preprocess.PermutationIn(arena.Int64s.Get(fl.k), sortedKept)
 			sp := opt.trace.Phase("build merge sort tree")
 			tree, buildErr := mst.Build(perm, opt.treeOptions(sp))
 			sp.End()
-			opt.putInt64s(perm)
-			opt.putInt32s(sortedKept)
+			arena.Int64s.Put(perm)
+			arena.Int32s.Put(sortedKept)
 			if buildErr != nil {
 				return cachedSelect{}, 0, buildErr
 			}
@@ -600,79 +471,8 @@ func evalSelectFamily(p *partition, f *FuncSpec, fc *frame.Computer, out *outBui
 	}
 	tree := st.tree
 
-	if opt.batchEnabled(p.len()) {
-		return runBatched(p, opt, famSelect, func(lo, hi int, agg *batchAgg) {
-			selectChunk(p, f, fl, fc, tree, valueCol, out, opt, agg, lo, hi)
-		})
-	}
-	return forEachRow(p, opt, func(lo, hi int) {
-		var scratch, mapped [3][2]int
-		var r64 [3][2]int64
-		for i := lo; i < hi; i++ {
-			ranges := fl.frameRanges(fc, i, scratch[:], mapped[:])
-			row := p.orig(i)
-			size := 0
-			for ri, r := range ranges {
-				size += r[1] - r[0]
-				r64[ri] = [2]int64{int64(r[0]), int64(r[1])}
-			}
-			if size == 0 {
-				out.setNull(row)
-				continue
-			}
-			vr := r64[:len(ranges)]
-			selectRow := func(k int) (int, bool) {
-				pos, ok := tree.SelectKthRanges(vr, k)
-				if !ok {
-					return 0, false
-				}
-				return fl.orig(int(tree.Value(pos))), true
-			}
-			switch f.Name {
-			case PercentileDisc:
-				k := percentileDiscIndex(f.Fraction, size)
-				if src, ok := selectRow(k); ok {
-					out.copyFrom(valueCol, src, row)
-				} else {
-					out.setNull(row)
-				}
-			case PercentileCont:
-				rn := f.Fraction * float64(size-1)
-				k0 := int(math.Floor(rn))
-				frac := rn - float64(k0)
-				src0, ok := selectRow(k0)
-				if !ok {
-					out.setNull(row)
-					continue
-				}
-				v := valueCol.Numeric(src0)
-				if frac > 0 {
-					if src1, ok1 := selectRow(k0 + 1); ok1 {
-						v += frac * (valueCol.Numeric(src1) - v)
-					}
-				}
-				out.setFloat(row, v)
-			case NthValue:
-				k := int(f.N) - 1
-				if src, ok := selectRow(k); ok {
-					out.copyFrom(valueCol, src, row)
-				} else {
-					out.setNull(row)
-				}
-			case FirstValue:
-				if src, ok := selectRow(0); ok {
-					out.copyFrom(valueCol, src, row)
-				} else {
-					out.setNull(row)
-				}
-			case LastValue:
-				if src, ok := selectRow(size - 1); ok {
-					out.copyFrom(valueCol, src, row)
-				} else {
-					out.setNull(row)
-				}
-			}
-		}
+	return runBatched(p, opt, famSelect, func(lo, hi int, agg *batchAgg) {
+		selectChunk(p, f, fl, fc, tree, valueCol, out, agg, lo, hi)
 	})
 }
 
@@ -699,7 +499,7 @@ func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 	if f.IgnoreNulls {
 		drop = f.Arg
 	}
-	fl := newFiltered(p, f, drop, opt)
+	fl := newFiltered(p, f, drop)
 	st, err := cacheGet(opt, p.cacheKey("leadlag", orderSig(p, f), strconv.Quote(drop), strconv.Quote(f.Filter), treeSig(opt.Tree)),
 		func() (cachedLeadLag, int64, error) {
 			m := p.len()
@@ -714,13 +514,13 @@ func evalLeadLag(p *partition, f *FuncSpec, fc *frame.Computer, out *outBuilder,
 					keptBefore++
 				}
 			}
-			sortedKept := keptOrder(fl, sortedAll, opt.getInt32s(fl.k))
-			perm := preprocess.PermutationIn(opt.getInt64s(fl.k), sortedKept)
+			sortedKept := keptOrder(fl, sortedAll, arena.Int32s.Get(fl.k))
+			perm := preprocess.PermutationIn(arena.Int64s.Get(fl.k), sortedKept)
 			sp := opt.trace.Phase("build merge sort tree")
 			tree, buildErr := mst.Build(perm, opt.treeOptions(sp))
 			sp.End()
-			opt.putInt64s(perm)
-			opt.putInt32s(sortedKept)
+			arena.Int64s.Put(perm)
+			arena.Int32s.Put(sortedKept)
 			if buildErr != nil {
 				return cachedLeadLag{}, 0, buildErr
 			}

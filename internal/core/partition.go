@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"holistic/internal/arena"
 	"holistic/internal/frame"
 	"holistic/internal/preprocess"
 )
@@ -278,9 +279,9 @@ func (p *partition) argCompare(f *FuncSpec) func(a, b int) int {
 // positions, or nil when every row is included. dropNullCol optionally names
 // a column whose NULL rows are excluded (argument NULLs for aggregates,
 // IGNORE NULLS for value functions, the percentile ORDER BY column). A
-// non-nil mask comes from pooled scratch per opt — the caller must put it
-// back (via Options.putBools) once consumed.
-func (p *partition) includeMask(f *FuncSpec, dropNullCol string, opt Options) []bool {
+// non-nil mask comes from pooled scratch — the caller must put it back (via
+// arena.Bools.Put) once consumed.
+func (p *partition) includeMask(f *FuncSpec, dropNullCol string) []bool {
 	var filterCol, nullCol *Column
 	if f.Filter != "" {
 		filterCol = p.t.Column(f.Filter)
@@ -294,7 +295,7 @@ func (p *partition) includeMask(f *FuncSpec, dropNullCol string, opt Options) []
 	if filterCol == nil && nullCol == nil {
 		return nil
 	}
-	mask := opt.getBools(p.len())
+	mask := arena.Bools.Get(p.len())
 	for i := range mask {
 		o := p.orig(i)
 		keep := true
@@ -306,7 +307,7 @@ func (p *partition) includeMask(f *FuncSpec, dropNullCol string, opt Options) []
 		}
 		mask[i] = keep
 	}
-	//lint:poollifecycle-ok documented hand-off: the caller owns the mask and puts it back via Options.putBools
+	//lint:poollifecycle-ok documented hand-off: the caller owns the mask and puts it back via arena.Bools.Put
 	return mask
 }
 

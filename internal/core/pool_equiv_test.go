@@ -10,46 +10,68 @@ import (
 )
 
 // Pooled scratch must be invisible in results: for any dataset, frame and
-// window function, evaluation with the pools and arenas enabled returns
-// byte-identical output to evaluation with Options.NoPool/Tree.NoArena set.
-// A divergence means a pooled buffer leaked into retained state or was
-// handed out dirty where zeroed memory was assumed.
+// window function, evaluation over pools that earlier runs left dirty must
+// agree with the brute-force reference evaluator, and repeating a run on
+// warm pools must reproduce the first run byte for byte. A divergence means
+// a pooled buffer leaked into retained state or was handed out dirty where
+// zeroed memory was assumed.
 
 // assertColumnsIdentical compares two result columns exactly — float values
 // by bit pattern, not tolerance, since both runs execute the same arithmetic.
-func assertColumnsIdentical(t *testing.T, label string, pooled, plain *Column) {
+func assertColumnsIdentical(t *testing.T, label string, got, want *Column) {
 	t.Helper()
-	if pooled.Len() != plain.Len() || pooled.Kind() != plain.Kind() {
+	if got.Len() != want.Len() || got.Kind() != want.Kind() {
 		t.Fatalf("%s: shape mismatch: len %d/%d kind %v/%v",
-			label, pooled.Len(), plain.Len(), pooled.Kind(), plain.Kind())
+			label, got.Len(), want.Len(), got.Kind(), want.Kind())
 	}
-	for i := 0; i < pooled.Len(); i++ {
-		if pooled.IsNull(i) != plain.IsNull(i) {
-			t.Fatalf("%s row %d: null mismatch: pooled=%v plain=%v",
-				label, i, pooled.IsNull(i), plain.IsNull(i))
+	for i := 0; i < got.Len(); i++ {
+		if got.IsNull(i) != want.IsNull(i) {
+			t.Fatalf("%s row %d: null mismatch: got=%v want=%v",
+				label, i, got.IsNull(i), want.IsNull(i))
 		}
-		if pooled.IsNull(i) {
+		if got.IsNull(i) {
 			continue
 		}
-		switch pooled.Kind() {
+		switch got.Kind() {
 		case Int64:
-			if pooled.Int64(i) != plain.Int64(i) {
-				t.Fatalf("%s row %d: %d != %d", label, i, pooled.Int64(i), plain.Int64(i))
+			if got.Int64(i) != want.Int64(i) {
+				t.Fatalf("%s row %d: %d != %d", label, i, got.Int64(i), want.Int64(i))
 			}
 		case Float64:
-			if math.Float64bits(pooled.Float64(i)) != math.Float64bits(plain.Float64(i)) {
-				t.Fatalf("%s row %d: %v != %v (bitwise)", label, i, pooled.Float64(i), plain.Float64(i))
+			if math.Float64bits(got.Float64(i)) != math.Float64bits(want.Float64(i)) {
+				t.Fatalf("%s row %d: %v != %v (bitwise)", label, i, got.Float64(i), want.Float64(i))
 			}
 		case String:
-			if pooled.StringAt(i) != plain.StringAt(i) {
-				t.Fatalf("%s row %d: %q != %q", label, i, pooled.StringAt(i), plain.StringAt(i))
+			if got.StringAt(i) != want.StringAt(i) {
+				t.Fatalf("%s row %d: %q != %q", label, i, got.StringAt(i), want.StringAt(i))
 			}
 		case Bool:
-			if pooled.Bool(i) != plain.Bool(i) {
-				t.Fatalf("%s row %d: %v != %v", label, i, pooled.Bool(i), plain.Bool(i))
+			if got.Bool(i) != want.Bool(i) {
+				t.Fatalf("%s row %d: %v != %v", label, i, got.Bool(i), want.Bool(i))
 			}
 		}
 	}
+}
+
+// runTwice evaluates w twice with the same options: the second run draws
+// from pools the first one (and every earlier test) returned dirty. It
+// returns the second result after checking it reproduces the first exactly.
+func runTwice(t *testing.T, label string, tab *Table, w *WindowSpec, opt Options) *Result {
+	t.Helper()
+	first, err := Run(tab, w, opt)
+	if err != nil {
+		t.Fatalf("%s: first run: %v", label, err)
+	}
+	second, err := Run(tab, w, opt)
+	if err != nil {
+		t.Fatalf("%s: second run: %v", label, err)
+	}
+	for i := range w.Funcs {
+		f := &w.Funcs[i]
+		assertColumnsIdentical(t, fmt.Sprintf("%s %v (%s) warm rerun", label, f.Name, f.Output),
+			second.Column(f.Output), first.Column(f.Output))
+	}
+	return second
 }
 
 func TestPoolEquivalenceRandomized(t *testing.T) {
@@ -72,25 +94,13 @@ func TestPoolEquivalenceRandomized(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			w.PartitionBy = []string{"g"}
 		}
-		tree := treeVariants[trial%len(treeVariants)]
-		pooledOpt := Options{Tree: tree, TaskSize: 16}
-		plainOpt := pooledOpt
-		plainOpt.NoPool = true
-		plainOpt.Tree.NoArena = true
-
-		pooled, err := Run(tab, w, pooledOpt)
-		if err != nil {
-			t.Fatalf("trial %d pooled: %v", trial, err)
-		}
-		plain, err := Run(tab, w, plainOpt)
-		if err != nil {
-			t.Fatalf("trial %d plain: %v", trial, err)
-		}
+		res := runTwice(t, fmt.Sprintf("trial %d", trial), tab, w,
+			Options{Tree: treeVariants[trial%len(treeVariants)], TaskSize: 16})
 		for i := range w.Funcs {
 			f := &w.Funcs[i]
 			label := fmt.Sprintf("trial %d %v (%s) frame{%v %v/%v ex%d}",
 				trial, f.Name, f.Output, fs.Mode, fs.Start.Type, fs.End.Type, fs.Exclude)
-			assertColumnsIdentical(t, label, pooled.Column(f.Output), plain.Column(f.Output))
+			compareToReference(t, tab, w, f, res.Column(f.Output), label)
 		}
 	}
 }
@@ -118,18 +128,11 @@ func TestPoolEquivalenceAllEngines(t *testing.T) {
 			{Name: FirstValue, Output: "f1", Arg: "s", OrderBy: ordV, Engine: EngineSegmentTree, Filter: "flt"},
 			{Name: FirstValue, Output: "f2", Arg: "s", OrderBy: ordV, Engine: EngineNaive, Filter: "flt"},
 		}
-		pooled, err := Run(tab, w, Options{TaskSize: 16})
-		if err != nil {
-			t.Fatalf("trial %d pooled: %v", trial, err)
-		}
-		plain, err := Run(tab, w, Options{TaskSize: 16, NoPool: true, Tree: mst.Options{NoArena: true}})
-		if err != nil {
-			t.Fatalf("trial %d plain: %v", trial, err)
-		}
+		res := runTwice(t, fmt.Sprintf("trial %d", trial), tab, w, Options{TaskSize: 16})
 		for i := range w.Funcs {
 			f := &w.Funcs[i]
 			label := fmt.Sprintf("trial %d engine %v %v", trial, f.Engine, f.Name)
-			assertColumnsIdentical(t, label, pooled.Column(f.Output), plain.Column(f.Output))
+			compareToReference(t, tab, w, f, res.Column(f.Output), label)
 		}
 	}
 }

@@ -14,6 +14,9 @@ import (
 type refEvaluator struct {
 	t *Table
 	w *WindowSpec
+	// parts memoizes partitionOf by row: every row of a partition maps to
+	// the same sorted slice, so a full-table check sorts each partition once.
+	parts map[int][]int
 }
 
 // refValue is a dynamically-typed SQL value for the reference paths.
@@ -46,6 +49,9 @@ func refVal(c *Column, row int) refValue {
 }
 
 func (e *refEvaluator) partitionOf(row int) []int {
+	if rows, ok := e.parts[row]; ok {
+		return rows
+	}
 	var rows []int
 	for i := 0; i < e.t.Rows(); i++ {
 		same := true
@@ -69,6 +75,12 @@ func (e *refEvaluator) partitionOf(row int) []int {
 		}
 		return a < b
 	})
+	if e.parts == nil {
+		e.parts = make(map[int][]int)
+	}
+	for _, r := range rows {
+		e.parts[r] = rows
+	}
 	return rows
 }
 

@@ -1,13 +1,5 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-	"time"
-
-	"holistic/internal/obs"
-)
-
 // Result holds the window functions' output columns, in the original row
 // order of the input table.
 type Result struct {
@@ -19,82 +11,6 @@ func (r *Result) Column(name string) *Column { return r.table.Column(name) }
 
 // Table returns all output columns as a table.
 func (r *Result) Table() *Table { return r.table }
-
-// Profile records how long each execution phase took — the instrumentation
-// behind Figure 14's cost breakdown. It is a view over the trace: each Run
-// with a non-nil Options.Profile attaches its root span here, and the
-// accessors aggregate the phase-marked spans by name (obs.Span.PhaseTotals),
-// so per-partition and per-function work accumulates exactly as before.
-// Runs that also set Options.Trace share one span tree between the trace
-// and the profile.
-type Profile struct {
-	mu    sync.Mutex
-	roots []*obs.Span
-}
-
-// attach adds a run's root span to the profile's view.
-func (p *Profile) attach(root *obs.Span) {
-	if p == nil || root == nil {
-		return
-	}
-	p.mu.Lock()
-	p.roots = append(p.roots, root)
-	p.mu.Unlock()
-}
-
-// Spans returns the root spans of the runs recorded so far, in run order.
-func (p *Profile) Spans() []*obs.Span {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]*obs.Span(nil), p.roots...)
-}
-
-// Phase is one named phase and its accumulated duration.
-type Phase struct {
-	Name     string
-	Duration time.Duration
-}
-
-// Phases returns the recorded phases in first-seen order, accumulated
-// across all recorded runs.
-func (p *Profile) Phases() []Phase {
-	var order []string
-	totals := make(map[string]time.Duration)
-	for _, root := range p.Spans() {
-		for _, pt := range root.PhaseTotals() {
-			if _, ok := totals[pt.Name]; !ok {
-				order = append(order, pt.Name)
-			}
-			totals[pt.Name] += pt.Total
-		}
-	}
-	out := make([]Phase, len(order))
-	for i, n := range order {
-		out[i] = Phase{Name: n, Duration: totals[n]}
-	}
-	return out
-}
-
-// Total returns the sum of all phase durations.
-func (p *Profile) Total() time.Duration {
-	var t time.Duration
-	for _, ph := range p.Phases() {
-		t += ph.Duration
-	}
-	return t
-}
-
-// String renders the breakdown one phase per line.
-func (p *Profile) String() string {
-	s := ""
-	for _, ph := range p.Phases() {
-		s += fmt.Sprintf("%-28s %12v\n", ph.Name, ph.Duration)
-	}
-	return s
-}
 
 // outBuilder accumulates one function's results. Rows are written at their
 // ORIGINAL row index (the evaluator knows the original index of every sorted

@@ -108,9 +108,44 @@ func TestRunTraceInvariants(t *testing.T) {
 	}
 }
 
+// TestPhaseSpansDoNotNest checks that a traced run over every function marks
+// no phase span beneath another phase span: PhaseTotals sums phases by name,
+// so a nested phase would count its time twice in the Figure 14 breakdown.
+func TestPhaseSpansDoNotNest(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	tab := randTable(rng, 2_000)
+	w := &WindowSpec{
+		OrderBy:  []SortKey{{Column: "d"}},
+		Frame:    randFrame(rng),
+		FrameSet: true,
+		Funcs:    allFuncSpecs(rng),
+	}
+	root := obs.NewSpan("query")
+	if _, err := Run(tab, w, Options{Trace: root, TaskSize: 256}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+
+	var check func(sp *obs.Span, phaseAncestor string)
+	check = func(sp *obs.Span, phaseAncestor string) {
+		if sp.IsPhase() {
+			if phaseAncestor != "" {
+				t.Errorf("phase span %q nests under phase span %q", sp.Name(), phaseAncestor)
+			}
+			phaseAncestor = sp.Name()
+		}
+		for _, c := range sp.Children() {
+			check(c, phaseAncestor)
+		}
+	}
+	check(root, "")
+}
+
 // TestProbeZeroAllocWithoutTrace guards the acceptance bar: with tracing
-// disabled (a nil span everywhere), the warm per-row probe path allocates
-// nothing.
+// disabled (a nil span everywhere), the warm probe path allocates nothing
+// per row. A batched chunk draws its scratch from the pools, whose Put boxes
+// one slice header per buffer, so a chunk costs a few allocations whatever
+// its row count; a per-row allocation would cost thousands here.
 func TestProbeZeroAllocWithoutTrace(t *testing.T) {
 	const n = 4_096
 	f := &FuncSpec{Name: CountDistinct, Output: "x", Arg: "v"}
@@ -137,24 +172,22 @@ func TestProbeZeroAllocWithoutTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var opt Options
-	fl := newFiltered(p, &p.w.Funcs[0], f.Arg, opt)
+	fl := newFiltered(p, &p.w.Funcs[0], f.Arg)
 	prev, next := buildDistinctInputs(fl, &p.w.Funcs[0], opt)
 	tree, err := mst.Build(prev, opt.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scratch, mapped [3][2]int
-	sink := 0
-	row := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		ranges := fl.frameRanges(fc, row, scratch[:], mapped[:])
-		sink += distinctCount(tree, prev, next, ranges)
-		row = (row + 1) % n
+	out := newOutBuilder(f.Output, Int64, n)
+	agg := &batchAgg{}
+	allocs := testing.AllocsPerRun(50, func() {
+		distinctCountChunk(p, fl, fc, tree, prev, next, out, agg, 0, n)
 	})
-	if allocs != 0 {
-		t.Fatalf("warm probe path allocates %.1f objects/op with tracing disabled, want 0", allocs)
-	}
-	if sink < 0 {
-		t.Fatal("impossible")
+	if allocs > maxChunkAllocs {
+		t.Fatalf("warm %d-row probe chunk allocates %.1f objects with tracing disabled, want <= %d", n, allocs, maxChunkAllocs)
 	}
 }
+
+// maxChunkAllocs bounds one warm probe chunk's allocations: the pool Puts of
+// the collector's and the kernel's scratch buffers.
+const maxChunkAllocs = 8

@@ -326,9 +326,9 @@ func TestDeltaEquivalenceRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d batch %d: delta run: %v", trial, batch, err)
 			}
-			// The rebuild oracle runs scalar (NoBatch): the delta path's
-			// batched kernels must be invisible against it byte-for-byte.
-			want, err := core.Run(tab, w, core.Options{Tree: tv, TaskSize: 16, NoBatch: true})
+			// The rebuild oracle runs with no cache and no delta view: a
+			// full re-sort and rebuild the delta path must match byte-for-byte.
+			want, err := core.Run(tab, w, core.Options{Tree: tv, TaskSize: 16})
 			if err != nil {
 				t.Fatalf("trial %d batch %d: rebuild run: %v", trial, batch, err)
 			}

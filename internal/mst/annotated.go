@@ -29,8 +29,6 @@ type AnnotatedTree[S any] struct {
 	merge func(S, S) S
 	n     int
 	shift int64
-	// noArena mirrors Options.NoArena for the batched kernel's scratch.
-	noArena bool
 }
 
 // BuildAnnotated constructs an annotated merge sort tree over keys, where
@@ -58,11 +56,10 @@ func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Opt
 		composite[i] = k*shift + int64(i)
 	}
 	at := &AnnotatedTree[S]{
-		t:       buildTree(composite, opt),
-		merge:   merge,
-		n:       n,
-		shift:   shift,
-		noArena: opt.NoArena,
+		t:     buildTree(composite, opt),
+		merge: merge,
+		n:     n,
+		shift: shift,
 	}
 	// Annotate every level with per-run prefix aggregates. The base position
 	// of an element is recovered from its composite key, so annotations can

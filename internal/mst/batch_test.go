@@ -15,7 +15,6 @@ func batchVariants() []Options {
 		{Fanout: 2, SampleEvery: 1},
 		{Fanout: 3, SampleEvery: 2, NoCascading: true},
 		{Force64: true},
-		{NoArena: true},
 	}
 }
 

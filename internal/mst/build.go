@@ -44,28 +44,25 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 	// Pre-size one slab per element type so the arena never grows: every
 	// level holds exactly n payload elements, and the sample table size per
 	// level follows from the run count and stride.
-	var arP *arena.Arena[P]
+	totalP, totalS := 0, 0
+	// Each level's slab is cache-line aligned (AllocAligned), so budget one
+	// line of alignment slack per stripe on top of the exact sizes.
+	slackP := cacheLineBytes / int(unsafe.Sizeof(*new(P)))
+	for rl := 1; rl < n; {
+		rl *= t.f
+		if rl > n {
+			rl = n
+		}
+		totalP += n + slackP
+		if cascade {
+			numRuns := (n + rl - 1) / rl
+			totalS += numRuns*sampleStride(rl, t.k, t.f) + cacheLineBytes/4
+		}
+	}
+	arP := arena.New[P](totalP)
 	var arS *arena.Arena[int32]
-	if !opt.NoArena {
-		totalP, totalS := 0, 0
-		// Each level's slab is cache-line aligned (AllocAligned), so budget
-		// one line of alignment slack per stripe on top of the exact sizes.
-		slackP := cacheLineBytes / int(unsafe.Sizeof(*new(P)))
-		for rl := 1; rl < n; {
-			rl *= t.f
-			if rl > n {
-				rl = n
-			}
-			totalP += n + slackP
-			if cascade {
-				numRuns := (n + rl - 1) / rl
-				totalS += numRuns*sampleStride(rl, t.k, t.f) + cacheLineBytes/4
-			}
-		}
-		arP = arena.New[P](totalP)
-		if totalS > 0 {
-			arS = arena.New[int32](totalS)
-		}
+	if totalS > 0 {
+		arS = arena.New[int32](totalS)
 	}
 
 	for rl := 1; rl < n; {
@@ -75,13 +72,7 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 		}
 		level := len(t.levels)
 		t.effLen = append(t.effLen, rl)
-		var out []P
-		if arP != nil {
-			out = arP.AllocAligned(n, cacheLineBytes)
-		} else {
-			out = make([]P, n)
-		}
-		t.levels = append(t.levels, out)
+		t.levels = append(t.levels, arP.AllocAligned(n, cacheLineBytes))
 		numRuns := (n + rl - 1) / rl
 		var samples []int32
 		stride := 0
@@ -90,11 +81,7 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 			// Sample slots beyond a run's child count — including the
 			// cache-line padding tail of every run row — stay zero; the
 			// arena hands out zeroed memory just like make.
-			if arS != nil {
-				samples = arS.AllocAligned(numRuns*stride, cacheLineBytes)
-			} else {
-				samples = make([]int32, numRuns*stride)
-			}
+			samples = arS.AllocAligned(numRuns*stride, cacheLineBytes)
 		}
 		t.samples = append(t.samples, samples)
 		t.stride = append(t.stride, stride)
@@ -106,11 +93,11 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 		workers := parallel.Workers()
 		if opt.Serial || numRuns >= workers || workers == 1 {
 			if opt.Serial {
-				buf, vals := mergeScratch[P](t.f, opt.NoArena)
+				buf, vals := mergeScratch[P](t.f)
 				for r := 0; r < numRuns; r++ {
 					t.mergeRun(level, r, samples, stride, buf, vals)
 				}
-				putMergeScratch(opt.NoArena, buf, vals)
+				putMergeScratch(buf, vals)
 			} else {
 				// Batch runs so one scratch acquisition serves ~one task's
 				// worth of tuples.
@@ -119,16 +106,16 @@ func buildTree[P payload](base []P, opt Options) *tree[P] {
 					runsPerTask = (parallel.DefaultTaskSize + rl - 1) / rl
 				}
 				parallel.For(numRuns, runsPerTask, func(lo, hi int) {
-					buf, vals := mergeScratch[P](t.f, opt.NoArena)
+					buf, vals := mergeScratch[P](t.f)
 					for r := lo; r < hi; r++ {
 						t.mergeRun(level, r, samples, stride, buf, vals)
 					}
-					putMergeScratch(opt.NoArena, buf, vals)
+					putMergeScratch(buf, vals)
 				})
 			}
 		} else {
 			for r := 0; r < numRuns; r++ {
-				t.mergeRunParallel(level, r, samples, stride, workers, opt.NoArena)
+				t.mergeRunParallel(level, r, samples, stride, workers)
 			}
 		}
 		lsp.End()
@@ -186,10 +173,7 @@ func payloadPool[P payload]() *arena.Pool[P] {
 // mergeScratch acquires per-task merge state: a 7f-element int32 buffer
 // (cursors, run ends, tiebreaks, loser tree, winner init, head codes —
 // sliced by mergePiece) and an f-element head-value array.
-func mergeScratch[P payload](f int, noPool bool) ([]int32, []P) {
-	if noPool {
-		return make([]int32, 7*f), make([]P, f)
-	}
+func mergeScratch[P payload](f int) ([]int32, []P) {
 	buf := arena.Int32s.Get(7 * f)
 	if p := payloadPool[P](); p != nil {
 		//lint:poollifecycle-ok mergeScratch is the acquire half of a documented pair; putMergeScratch returns both buffers
@@ -200,10 +184,7 @@ func mergeScratch[P payload](f int, noPool bool) ([]int32, []P) {
 }
 
 // putMergeScratch recycles buffers acquired by mergeScratch.
-func putMergeScratch[P payload](noPool bool, buf []int32, vals []P) {
-	if noPool {
-		return
-	}
+func putMergeScratch[P payload](buf []int32, vals []P) {
 	arena.Int32s.Put(buf)
 	if p := payloadPool[P](); p != nil {
 		p.Put(vals)
@@ -233,7 +214,7 @@ func (t *tree[P]) mergeRun(level, r int, samples []int32, stride int, buf []int3
 // the per-child split positions for each piece boundary are found with a
 // rank search over the value domain, so pieces merge independently
 // (Francis et al. 1993, cited in §5.2).
-func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, workers int, noPool bool) {
+func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, workers int) {
 	runStart := r * t.effLen[level]
 	runEnd := runStart + t.effLen[level]
 	if runEnd > t.n {
@@ -249,21 +230,16 @@ func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, worker
 		pieces = length / 1024
 	}
 	if pieces <= 1 {
-		buf, vals := mergeScratch[P](f, noPool)
+		buf, vals := mergeScratch[P](f)
 		t.mergeRun(level, r, samples, stride, buf, vals)
-		putMergeScratch(noPool, buf, vals)
+		putMergeScratch(buf, vals)
 		return
 	}
 	// Flat split table: row p holds the per-child consumed counts at output
 	// boundary length*p/pieces. Row 0 is all zeros; row `pieces` is the child
 	// lengths.
-	var flat []int32
-	if noPool {
-		flat = make([]int32, (pieces+1)*m)
-	} else {
-		flat = arena.Int32s.Get((pieces + 1) * m)
-		defer arena.Int32s.Put(flat)
-	}
+	flat := arena.Int32s.Get((pieces + 1) * m)
+	defer arena.Int32s.Put(flat)
 	clear(flat[:m])
 	last := flat[pieces*m : (pieces+1)*m]
 	for c := 0; c < m; c++ {
@@ -283,10 +259,10 @@ func (t *tree[P]) mergeRunParallel(level, r int, samples []int32, stride, worker
 		if p == pieces-1 {
 			t1 = length
 		}
-		buf, vals := mergeScratch[P](f, noPool)
+		buf, vals := mergeScratch[P](f)
 		t.mergePiece(out, childData, childLen, m, flat[p*m:(p+1)*m],
 			buf, vals, sampleRun, t0, t1)
-		putMergeScratch(noPool, buf, vals)
+		putMergeScratch(buf, vals)
 	})
 }
 

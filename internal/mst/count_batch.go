@@ -62,8 +62,7 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) {
 	// Clamp every query exactly like CountBelow and resolve the trivial ones
 	// up front; resolved queries are marked with an empty position range so
 	// the kernels skip them without a separate mask.
-	noArena := t.opt.NoArena
-	cb := kernelInt32(noArena, 2*m)
+	cb := arena.Int32s.Get(2 * m)
 	klo, khi := cb[:m], cb[m:]
 	for q := 0; q < m; q++ {
 		l, h := int(lo[q]), int(hi[q])
@@ -80,7 +79,7 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) {
 		klo[q], khi[q] = i32(l), i32(h)
 	}
 	if t.t32 != nil {
-		thr := kernelInt32(noArena, m)
+		thr := arena.Int32s.Get(m)
 		for q := 0; q < m; q++ {
 			if klo[q] >= khi[q] {
 				continue
@@ -96,18 +95,18 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) {
 				thr[q] = int32(tv)
 			}
 		}
-		countKernel(t.t32, klo, khi, thr, out, noArena)
-		putKernelInt32(noArena, thr)
+		countKernel(t.t32, klo, khi, thr, out)
+		arena.Int32s.Put(thr)
 	} else {
-		countKernel(t.t64, klo, khi, threshold, out, noArena)
+		countKernel(t.t64, klo, khi, threshold, out)
 	}
-	putKernelInt32(noArena, cb)
+	arena.Int32s.Put(cb)
 }
 
 // countKernel is the generic level-synchronous count descent. lo/hi are
 // pre-clamped to [0, n]; queries with lo >= hi are already resolved and
 // skipped. out[q] accumulates the covered-run ranks of query q.
-func countKernel[P payload](t *tree[P], lo, hi []int32, thr []P, out []int32, noArena bool) {
+func countKernel[P payload](t *tree[P], lo, hi []int32, thr []P, out []int32) {
 	m := len(out)
 	top := t.top()
 	run0 := t.run(top, 0)
@@ -116,7 +115,7 @@ func countKernel[P payload](t *tree[P], lo, hi []int32, thr []P, out []int32, no
 	// alive (the runs containing lo and hi-1), so 2·m triples bound both the
 	// current and the next frontier. One flat pooled buffer holds all six
 	// structure-of-arrays columns.
-	buf := kernelInt32(noArena, 12*m)
+	buf := arena.Int32s.Get(12 * m)
 	cq, cr, crank := buf[:2*m], buf[2*m:4*m], buf[4*m:6*m]
 	nq, nr, nrank := buf[6*m:8*m], buf[8*m:10*m], buf[10*m:12*m]
 
@@ -204,7 +203,7 @@ func countKernel[P payload](t *tree[P], lo, hi []int32, thr []P, out []int32, no
 		crank, nrank = nrank, crank
 		cn = nn
 	}
-	putKernelInt32(noArena, buf)
+	arena.Int32s.Put(buf)
 }
 
 // childRankIn is childRank with the per-level state (sample table, stride,
@@ -273,22 +272,4 @@ func lowerBoundFromP[P payload](a []P, x P, g int) int {
 		return lo + lowerBoundP(a[lo:ub], x)
 	}
 	return g
-}
-
-// kernelInt32 fetches flat int32 kernel scratch, honouring NoArena.
-func kernelInt32(noArena bool, n int) []int32 {
-	if noArena {
-		return make([]int32, n)
-	}
-	return arena.Int32s.Get(n)
-}
-
-// putKernelInt32 returns kernel scratch to the pool. Under NoArena the
-// buffer came from make and must not enter the pool (its counters account
-// only pooled buffers).
-func putKernelInt32(noArena bool, buf []int32) {
-	if noArena {
-		return
-	}
-	arena.Int32s.Put(buf)
 }

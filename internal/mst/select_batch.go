@@ -3,6 +3,8 @@ package mst
 import (
 	"fmt"
 	"math"
+
+	"holistic/internal/arena"
 )
 
 // Batched, level-synchronous select kernel: the Figure 7 descent run over a
@@ -65,27 +67,26 @@ func (t *Tree) SelectKthRangesBatch(off []int32, vlo, vhi []int64, k []int32, ou
 		}
 		return
 	}
-	noArena := t.opt.NoArena
 	if t.t32 != nil {
 		nr := len(vlo)
-		vb := kernelInt32(noArena, 2*nr)
+		vb := arena.Int32s.Get(2 * nr)
 		vlo32, vhi32 := vb[:nr], vb[nr:]
 		for j := range vlo32 {
 			vlo32[j] = clampI32(vlo[j])
 			vhi32[j] = clampI32(vhi[j])
 		}
-		selectKernel(t.t32, off, vlo32, vhi32, k, out, noArena)
-		putKernelInt32(noArena, vb)
+		selectKernel(t.t32, off, vlo32, vhi32, k, out)
+		arena.Int32s.Put(vb)
 		return
 	}
-	selectKernel(t.t64, off, vlo, vhi, k, out, noArena)
+	selectKernel(t.t64, off, vlo, vhi, k, out)
 }
 
 // selectKernel is the generic level-synchronous select descent. Empty value
 // ranges contribute zero-width rank pairs throughout, so they need no
 // special casing (SelectKthRanges drops them up front; the result is the
 // same either way).
-func selectKernel[P payload](t *tree[P], off []int32, vlo, vhi []P, k []int32, out []int32, noArena bool) {
+func selectKernel[P payload](t *tree[P], off []int32, vlo, vhi []P, k []int32, out []int32) {
 	m := len(out)
 	top := t.top()
 	run0 := t.run(top, 0)
@@ -95,7 +96,7 @@ func selectKernel[P payload](t *tree[P], off []int32, vlo, vhi []P, k []int32, o
 	// to vlo/vhi), plus per-query current run, remaining rank, and the live
 	// list. Every live query descends all the way to level 0, so the live
 	// list is fixed after the top-level resolution.
-	buf := kernelInt32(noArena, 2*nR+3*m)
+	buf := arena.Int32s.Get(2*nR + 3*m)
 	rlo, rhi := buf[:nR], buf[nR:2*nR]
 	runQ := buf[2*nR : 2*nR+m]
 	remQ := buf[2*nR+m : 2*nR+2*m]
@@ -194,5 +195,5 @@ func selectKernel[P payload](t *tree[P], off []int32, vlo, vhi []P, k []int32, o
 		q := int(lq[li])
 		out[q] = runQ[q]
 	}
-	putKernelInt32(noArena, buf)
+	arena.Int32s.Put(buf)
 }

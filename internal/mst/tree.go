@@ -64,12 +64,6 @@ type Options struct {
 	Force64 bool
 	// Serial disables parallel construction.
 	Serial bool
-	// NoArena opts out of the allocation substrate: tree levels, cascading
-	// samples and merge scratch are allocated with plain make instead of the
-	// per-build arena slabs and shared scratch pools. Results are identical;
-	// the flag exists for allocation-behavior comparisons and as an escape
-	// hatch should the substrate misbehave.
-	NoArena bool
 	// SpillRows, when > 0, makes Build spill-aware: inputs larger than
 	// SpillRows are built as an ordered forest of monolithic subtrees over
 	// consecutive SpillRows-sized chunks (one per on-disk segment's worth of
@@ -99,15 +93,10 @@ type Choice struct {
 	// Values < 2 (resp. < 1) are ignored and fall back to the defaults.
 	Fanout      int
 	SampleEvery int
-	// Batch reports whether the batched level-synchronous probe kernels
-	// are expected to beat the scalar per-query descents at this size.
-	// The tree itself answers identically either way; the window
-	// operator uses the flag to pick its probe path.
-	Batch bool
 }
 
-// Tuner supplies per-input-size construction and probe parameters, derived
-// from measured build+probe crossover curves (see internal/mst/tune).
+// Tuner supplies per-input-size construction parameters, derived from
+// measured build+probe crossover curves (see internal/mst/tune).
 // Implementations must be deterministic — the same n always yields the same
 // Choice — and safe for concurrent use. Sig must return a stable signature
 // identifying the table the tuner answers from: it becomes part of tree

@@ -14,27 +14,26 @@ import (
 func TestDefaultTable(t *testing.T) {
 	tab := Default()
 	cases := []struct {
-		n     int
-		f, k  int
-		batch bool
+		n    int
+		f, k int
 	}{
-		{0, 8, 8, false},
-		{256, 8, 8, false},
-		{257, 16, 16, true},
-		{65536, 16, 16, true},
-		{65537, 32, 32, true},
-		{10_000_000, 32, 32, true},
+		{0, 8, 8},
+		{256, 8, 8},
+		{257, 16, 16},
+		{65536, 16, 16},
+		{65537, 32, 32},
+		{10_000_000, 32, 32},
 	}
 	for _, c := range cases {
 		got := tab.Choose(c.n)
-		if got.Fanout != c.f || got.SampleEvery != c.k || got.Batch != c.batch {
-			t.Fatalf("Choose(%d) = %+v, want f=%d k=%d batch=%v", c.n, got, c.f, c.k, c.batch)
+		if got.Fanout != c.f || got.SampleEvery != c.k {
+			t.Fatalf("Choose(%d) = %+v, want f=%d k=%d", c.n, got, c.f, c.k)
 		}
 	}
 	if Default().Sig() != tab.Sig() {
 		t.Fatal("Default table signature not stable")
 	}
-	other, err := NewTable([]Row{{MaxN: 1 << 62, Fanout: 4, SampleEvery: 4, Batch: true}})
+	other, err := NewTable([]Row{{MaxN: 1 << 62, Fanout: 4, SampleEvery: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +46,8 @@ func TestDefaultTable(t *testing.T) {
 // order and signature, and that version mismatches are rejected.
 func TestTableRoundTrip(t *testing.T) {
 	tab, err := NewTable([]Row{
-		{MaxN: 1 << 62, Fanout: 32, SampleEvery: 32, Batch: true},
-		{MaxN: 512, Fanout: 8, SampleEvery: 4, Batch: false},
+		{MaxN: 1 << 62, Fanout: 32, SampleEvery: 32},
+		{MaxN: 512, Fanout: 8, SampleEvery: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +88,7 @@ func TestTableRoundTrip(t *testing.T) {
 // table's f and k (observable through Stats), explicit options still win,
 // and tuned trees answer identically to untuned ones.
 func TestTunerShapesTree(t *testing.T) {
-	tab, err := NewTable([]Row{{MaxN: 1 << 62, Fanout: 4, SampleEvery: 2, Batch: true}})
+	tab, err := NewTable([]Row{{MaxN: 1 << 62, Fanout: 4, SampleEvery: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func (s *Span) Child(name string) *Span {
 }
 
 // Phase starts a child span marked as an aggregation phase: PhaseTotals
-// (and core.Profile on top of it) sums phase spans by name, while unmarked
+// sums phase spans by name, while unmarked
 // spans — evaluation groupings, workers, cache probes — only structure the
 // tree. The phase names the operator emits are enumerated in DESIGN.md §9.
 func (s *Span) Phase(name string) *Span {
@@ -225,7 +225,8 @@ type PhaseTotal struct {
 }
 
 // PhaseTotals aggregates the phase-marked spans of the tree by name, in
-// first-seen pre-order — the view core.Profile exposes as Phases.
+// first-seen pre-order — Figure 14's per-phase cost breakdown. Phase spans
+// never nest, so each nanosecond counts toward at most one phase.
 func (s *Span) PhaseTotals() []PhaseTotal {
 	if s == nil {
 		return nil

@@ -14,8 +14,8 @@ import (
 // three compatible windows — a two-key order, its one-key prefix and an
 // unordered window, all under one partition set. The shared plan runs one
 // sort, one partition detection, one distinct-count tree and one rank tree;
-// NoSharedPlan sorts and builds per window, which is what every statement
-// paid before the optimizer.
+// the per-window arm runs one core.Run per window, sorting and building per
+// window, which is what every statement paid before the optimizer.
 func BenchmarkEvalMultiFunctionShared(b *testing.B) {
 	const n = 1_000_000
 	rng := rand.New(rand.NewSource(4242))
@@ -65,20 +65,20 @@ func BenchmarkEvalMultiFunctionShared(b *testing.B) {
 		b.Fatalf("benchmark plan lost its sharing: %+v", p.Stats)
 	}
 
-	for _, bc := range []struct {
-		name string
-		opt  core.Options
-	}{
-		{"shared", core.Options{}},
-		{"NoSharedPlan", core.Options{NoSharedPlan: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := p.Execute(tab, bc.opt); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("shared", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := p.Execute(tab, core.Options{}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("per-window", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := runPerWindow(tab, stmt.Items, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

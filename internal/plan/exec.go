@@ -11,11 +11,6 @@ import (
 // table (one column per statement item, in select order) plus the plan's
 // sharing stats.
 //
-// With Options.NoSharedPlan set, the plan's clustering is ignored and every
-// deduplicated window runs its own core.Run — the pre-shared-plan behavior,
-// kept as an opt-out for benchmarking and as an escape hatch. Results are
-// byte-identical either way.
-//
 // When the options carry no structure cache, a request-local cache is
 // installed for the duration of the statement, so trees and preprocessing
 // arrays are shared across the statement's functions even for cacheless
@@ -28,44 +23,31 @@ func (p *Plan) Execute(t *core.Table, opt core.Options) (*core.Table, Stats, err
 	}
 
 	results := map[string]*core.Result{} // window key -> result
-	if opt.NoSharedPlan {
-		for _, g := range p.groups {
-			for _, w := range g.windows {
-				spec := &core.WindowSpec{PartitionBy: w.partitionBy, OrderBy: w.orderBy, Funcs: w.funcs}
-				res, err := core.Run(t, spec, opt)
-				if err != nil {
-					return nil, Stats{}, err
-				}
-				results[windowKey(w.partitionBy, w.orderBy)] = res
-			}
+	counters.Queries.Add(1)
+	counters.SharedSorts.Add(int64(p.Stats.SortsShared))
+	counters.SharedTrees.Add(int64(p.Stats.TreesShared))
+	counters.SharedPreprocess.Add(int64(p.Stats.PreprocessShared))
+	for _, g := range p.groups {
+		gopt := opt
+		if sp := opt.Trace.Child("plan.group"); sp != nil {
+			sp.Set("partition_by", colsText(g.partitionBy))
+			sp.Set("order_by", orderText(g.orderBy))
+			sp.SetInt("windows", int64(len(g.windows)))
+			gopt.Trace = sp
 		}
-	} else {
-		counters.Queries.Add(1)
-		counters.SharedSorts.Add(int64(p.Stats.SortsShared))
-		counters.SharedTrees.Add(int64(p.Stats.TreesShared))
-		counters.SharedPreprocess.Add(int64(p.Stats.PreprocessShared))
-		for _, g := range p.groups {
-			gopt := opt
-			if sp := opt.Trace.Child("plan.group"); sp != nil {
-				sp.Set("partition_by", colsText(g.partitionBy))
-				sp.Set("order_by", orderText(g.orderBy))
-				sp.SetInt("windows", int64(len(g.windows)))
-				gopt.Trace = sp
-			}
-			specs := make([]*core.WindowSpec, len(g.windows))
-			for i, w := range g.windows {
-				specs[i] = &core.WindowSpec{PartitionBy: w.partitionBy, OrderBy: w.orderBy, Funcs: w.funcs}
-			}
-			res, err := core.RunShared(t, g.partitionBy, g.orderBy, specs, gopt)
-			if gopt.Trace != opt.Trace {
-				gopt.Trace.End()
-			}
-			if err != nil {
-				return nil, Stats{}, err
-			}
-			for i, w := range g.windows {
-				results[windowKey(w.partitionBy, w.orderBy)] = res[i]
-			}
+		specs := make([]*core.WindowSpec, len(g.windows))
+		for i, w := range g.windows {
+			specs[i] = &core.WindowSpec{PartitionBy: w.partitionBy, OrderBy: w.orderBy, Funcs: w.funcs}
+		}
+		res, err := core.RunShared(t, g.partitionBy, g.orderBy, specs, gopt)
+		if gopt.Trace != opt.Trace {
+			gopt.Trace.End()
+		}
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		for i, w := range g.windows {
+			results[windowKey(w.partitionBy, w.orderBy)] = res[i]
 		}
 	}
 

@@ -140,39 +140,39 @@ func allFuncs(rng *rand.Rand) []core.FuncSpec {
 // assertColumnsIdentical compares two result columns exactly — float values
 // by bit pattern, not tolerance, since the shared and unshared plans must
 // execute the same arithmetic in the same order.
-func assertColumnsIdentical(t *testing.T, label string, shared, legacy *core.Column) {
+func assertColumnsIdentical(t *testing.T, label string, shared, unshared *core.Column) {
 	t.Helper()
-	if shared == nil || legacy == nil {
-		t.Fatalf("%s: missing column (shared=%v legacy=%v)", label, shared != nil, legacy != nil)
+	if shared == nil || unshared == nil {
+		t.Fatalf("%s: missing column (shared=%v unshared=%v)", label, shared != nil, unshared != nil)
 	}
-	if shared.Len() != legacy.Len() || shared.Kind() != legacy.Kind() {
+	if shared.Len() != unshared.Len() || shared.Kind() != unshared.Kind() {
 		t.Fatalf("%s: shape mismatch: len %d/%d kind %v/%v",
-			label, shared.Len(), legacy.Len(), shared.Kind(), legacy.Kind())
+			label, shared.Len(), unshared.Len(), shared.Kind(), unshared.Kind())
 	}
 	for i := 0; i < shared.Len(); i++ {
-		if shared.IsNull(i) != legacy.IsNull(i) {
-			t.Fatalf("%s row %d: null mismatch: shared=%v legacy=%v",
-				label, i, shared.IsNull(i), legacy.IsNull(i))
+		if shared.IsNull(i) != unshared.IsNull(i) {
+			t.Fatalf("%s row %d: null mismatch: shared=%v unshared=%v",
+				label, i, shared.IsNull(i), unshared.IsNull(i))
 		}
 		if shared.IsNull(i) {
 			continue
 		}
 		switch shared.Kind() {
 		case core.Int64:
-			if shared.Int64(i) != legacy.Int64(i) {
-				t.Fatalf("%s row %d: %d != %d", label, i, shared.Int64(i), legacy.Int64(i))
+			if shared.Int64(i) != unshared.Int64(i) {
+				t.Fatalf("%s row %d: %d != %d", label, i, shared.Int64(i), unshared.Int64(i))
 			}
 		case core.Float64:
-			if math.Float64bits(shared.Float64(i)) != math.Float64bits(legacy.Float64(i)) {
-				t.Fatalf("%s row %d: %v != %v (bitwise)", label, i, shared.Float64(i), legacy.Float64(i))
+			if math.Float64bits(shared.Float64(i)) != math.Float64bits(unshared.Float64(i)) {
+				t.Fatalf("%s row %d: %v != %v (bitwise)", label, i, shared.Float64(i), unshared.Float64(i))
 			}
 		case core.String:
-			if shared.StringAt(i) != legacy.StringAt(i) {
-				t.Fatalf("%s row %d: %q != %q", label, i, shared.StringAt(i), legacy.StringAt(i))
+			if shared.StringAt(i) != unshared.StringAt(i) {
+				t.Fatalf("%s row %d: %q != %q", label, i, shared.StringAt(i), unshared.StringAt(i))
 			}
 		case core.Bool:
-			if shared.Bool(i) != legacy.Bool(i) {
-				t.Fatalf("%s row %d: %v != %v", label, i, shared.Bool(i), legacy.Bool(i))
+			if shared.Bool(i) != unshared.Bool(i) {
+				t.Fatalf("%s row %d: %v != %v", label, i, shared.Bool(i), unshared.Bool(i))
 			}
 		}
 	}
@@ -182,9 +182,10 @@ func assertColumnsIdentical(t *testing.T, label string, shared, legacy *core.Col
 // harness: random tables, random window shapes (equal windows under
 // different frames, prefix-compatible orders, reordered partition listings,
 // unpartitioned windows) with every supported function distributed across
-// them. Shared execution must return byte-identical columns to
-// Options.NoSharedPlan — any divergence means the optimizer shared
-// something order-sensitive or crossed a cache key.
+// them. Shared execution must return byte-identical columns to one
+// independent core.Run per deduplicated window, with no cache — any
+// divergence means the optimizer shared something order-sensitive or
+// crossed a cache key.
 func TestSharedPlanEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	trials := 14
@@ -229,18 +230,52 @@ func TestSharedPlanEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: shared: %v", trial, err)
 		}
-		legacy, _, err := p.Execute(tab, core.Options{TaskSize: 16, NoSharedPlan: true})
+		unshared, err := runPerWindow(tab, items, core.Options{TaskSize: 16})
 		if err != nil {
-			t.Fatalf("trial %d: legacy: %v", trial, err)
+			t.Fatalf("trial %d: per-window: %v", trial, err)
 		}
 		for _, item := range items {
 			label := fmt.Sprintf("trial %d n=%d %s", trial, n, item.Name)
 			if item.Func != nil {
 				label += fmt.Sprintf(" (%v over p=%v o=%v)", item.Func.Name, item.PartitionBy, item.OrderBy)
 			}
-			assertColumnsIdentical(t, label, shared.Column(item.Name), legacy.Column(item.Name))
+			assertColumnsIdentical(t, label, shared.Column(item.Name), unshared[item.Name])
 		}
 	}
+}
+
+// runPerWindow evaluates a statement's items without the planner: one
+// core.Run per distinct (PARTITION BY, ORDER BY) window, carrying every
+// function over that window. Source-column items map to the table's column.
+func runPerWindow(tab *core.Table, items []plan.Item, opt core.Options) (map[string]*core.Column, error) {
+	var order []string
+	windows := map[string]*core.WindowSpec{}
+	out := map[string]*core.Column{}
+	for _, item := range items {
+		if item.Func == nil {
+			out[item.Name] = tab.Column(item.SrcColumn)
+			continue
+		}
+		key := fmt.Sprintf("%q|%v", item.PartitionBy, item.OrderBy)
+		w, ok := windows[key]
+		if !ok {
+			w = &core.WindowSpec{PartitionBy: item.PartitionBy, OrderBy: item.OrderBy}
+			windows[key] = w
+			order = append(order, key)
+		}
+		w.Funcs = append(w.Funcs, *item.Func)
+	}
+	for _, key := range order {
+		w := windows[key]
+		res, err := core.Run(tab, w, opt)
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range w.Funcs {
+			out[f.Output] = res.Column(f.Output)
+		}
+	}
+	return out, nil
 }
 
 // pinnedStatement is the fixed statement of the stats/DAG pin tests: one
@@ -300,7 +335,7 @@ func TestPlanStatsPinned(t *testing.T) {
 	}
 
 	// Executing the plan advances the process counters by exactly the plan's
-	// stats; the NoSharedPlan run must leave them untouched.
+	// stats.
 	before := plan.Snapshot()
 	if _, _, err := p.Execute(tab, core.Options{}); err != nil {
 		t.Fatal(err)
@@ -311,12 +346,6 @@ func TestPlanStatsPinned(t *testing.T) {
 		after.SharedTrees != before.SharedTrees+1 ||
 		after.SharedPreprocess != before.SharedPreprocess+2 {
 		t.Fatalf("counters %+v -> %+v, want +{1 1 1 2}", before, after)
-	}
-	if _, _, err := p.Execute(tab, core.Options{NoSharedPlan: true}); err != nil {
-		t.Fatal(err)
-	}
-	if got := plan.Snapshot(); got != after {
-		t.Fatalf("NoSharedPlan run moved the counters: %+v -> %+v", after, got)
 	}
 }
 

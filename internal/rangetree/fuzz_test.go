@@ -26,7 +26,8 @@ func FuzzDenseRankBatch(f *testing.F) {
 			Fanout:      2 + int(fanout%7),
 			SampleEvery: 1 + int(sampleEvery%15),
 			NoCascading: flags&1 != 0,
-			NoArena:     flags&4 != 0,
+			// flags&4 is unused; the byte keeps its place so existing
+			// corpora stay valid.
 		}
 		rt, err := New(ranks, prevs, opt)
 		if err != nil {

@@ -42,8 +42,6 @@ type node struct {
 type DenseRankTree struct {
 	n     int
 	nodes []node
-	// noArena mirrors the build Options' NoArena for batch-query scratch.
-	noArena bool
 }
 
 // New builds the structure for a partition in window order. ranks[i] is the
@@ -55,7 +53,7 @@ func New(ranks, prevIdcs []int64, opt mst.Options) (*DenseRankTree, error) {
 		return nil, fmt.Errorf("rangetree: %d ranks but %d prevIdcs", len(ranks), len(prevIdcs))
 	}
 	n := len(ranks)
-	t := &DenseRankTree{n: n, noArena: opt.NoArena}
+	t := &DenseRankTree{n: n}
 	if n == 0 {
 		return t, nil
 	}

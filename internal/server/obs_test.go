@@ -97,8 +97,8 @@ func decodeEnvelope(t *testing.T, resp *http.Response) api.ErrorResponse {
 	return env
 }
 
-// TestLegacyAliases checks the pre-versioning paths still answer — with a
-// Deprecation header and a successor Link — while the /v1 routes stay clean.
+// TestLegacyAliases checks the pre-versioning unversioned paths are gone:
+// POST /query answers the 404 error envelope, like any unknown route.
 func TestLegacyAliases(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	mustUpload(t, c, "t", smallCSV)
@@ -108,43 +108,9 @@ func TestLegacyAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /query: %d", resp.StatusCode)
-	}
-	if dep := resp.Header.Get("Deprecation"); dep != "true" {
-		t.Fatalf("legacy /query Deprecation header = %q, want \"true\"", dep)
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "</v1/query>") || !strings.Contains(link, "successor-version") {
-		t.Fatalf("legacy /query Link header = %q, want /v1/query successor", link)
-	}
-	var qr api.QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
-	}
-	if len(qr.Rows) != 5 {
-		t.Fatalf("legacy /query returned %d rows, want 5", len(qr.Rows))
-	}
-
-	for _, path := range []string{"/healthz", "/datasets"} {
-		resp, err := http.Get(c.BaseURL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("legacy %s: status=%d Deprecation=%q", path, resp.StatusCode, resp.Header.Get("Deprecation"))
-		}
-	}
-
-	// Canonical routes carry no deprecation marker.
-	resp, err = http.Get(c.BaseURL + api.PathHealthz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("/v1/healthz: status=%d Deprecation=%q, want 200 and no header", resp.StatusCode, resp.Header.Get("Deprecation"))
+	env := decodeEnvelope(t, resp)
+	if resp.StatusCode != http.StatusNotFound || env.Error.Code != api.CodeNotFound {
+		t.Fatalf("POST /query: status=%d code=%q, want 404 %q", resp.StatusCode, env.Error.Code, api.CodeNotFound)
 	}
 }
 
@@ -321,8 +287,9 @@ func (l *lockedWriter) Write(b []byte) (int, error) {
 	return l.w.Write(b)
 }
 
-// TestDeprecatedAliasMetricsRoute checks legacy traffic is labelled under
-// its own route so the migration is observable.
+// TestDeprecatedAliasMetricsRoute checks traffic to a removed unversioned
+// path is counted as an unmatched 404, so stale clients stay observable
+// without adding a route label per path.
 func TestDeprecatedAliasMetricsRoute(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	mustUpload(t, c, "t", smallCSV)
@@ -332,7 +299,7 @@ func TestDeprecatedAliasMetricsRoute(t *testing.T) {
 	}
 	resp.Body.Close()
 	p := scrapeMetrics(t, c)
-	if v, ok := p.Value("windowd_requests_total", "route=GET /healthz", "code=200"); !ok || v != 1 {
-		t.Fatalf("requests_total{GET /healthz,200} = %v (%v), want 1", v, ok)
+	if v, ok := p.Value("windowd_requests_total", "route=GET (unmatched)", "code=404"); !ok || v != 1 {
+		t.Fatalf("requests_total{GET (unmatched),404} = %v (%v), want 1", v, ok)
 	}
 }

@@ -11,10 +11,8 @@
 //
 // The HTTP surface is versioned under /v1 (see internal/server/api for the
 // wire contract): /v1/query, /v1/explain, /v1/datasets, /v1/healthz and the
-// Prometheus exposition at /v1/metrics. The pre-versioning unversioned
-// paths answer identically as deprecated aliases, with a Deprecation header
-// and a Link to their successor. Every non-2xx response — including the
-// mux's own 404 and 405 — carries the api.ErrorResponse envelope.
+// Prometheus exposition at /v1/metrics. Every non-2xx response — including
+// the mux's own 404 and 405 — carries the api.ErrorResponse envelope.
 //
 // Production plumbing: per-request timeouts plumbed into the operator's
 // cooperative cancellation, a semaphore admission limiter, per-query trace
@@ -194,26 +192,8 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST "+api.PathExplain, s.handleExplain)
 	// Human-facing debug page; not part of the versioned API.
 	mux.HandleFunc("GET /statusz", s.handleStatusz)
-	// Deprecated pre-versioning aliases: same handlers, plus a Deprecation
-	// header pointing clients at the /v1 successor.
-	mux.HandleFunc("GET /healthz", deprecated(s.handleHealthz))
-	mux.HandleFunc("GET /datasets", deprecated(s.handleListDatasets))
-	mux.HandleFunc("POST /datasets/{name}", deprecated(s.handleRegister))
-	mux.HandleFunc("POST /query", deprecated(s.handleQuery))
-	mux.HandleFunc("POST /explain", deprecated(s.handleExplain))
 	s.mux = mux
 	return s
-}
-
-// deprecated wraps a legacy unversioned route: the response gains a
-// Deprecation header (RFC 8594 style) and a Link to the /v1 successor, and
-// is otherwise byte-identical to the canonical route.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
 }
 
 // Handler returns the HTTP handler with request logging and metrics wired
@@ -282,22 +262,18 @@ func (p *probeWriter) WriteHeader(code int) {
 // per dataset name. Route label cardinality is bounded by the route table,
 // not by request paths: unmatched paths all collapse to "(unmatched)".
 func routeOf(path string) string {
-	p := strings.TrimPrefix(path, "/v1")
-	switch p {
-	case "/healthz", "/statusz", "/datasets", "/query", "/explain", "/metrics":
+	switch path {
+	case "/statusz", api.PathHealthz, api.PathDatasets, api.PathQuery, api.PathExplain, api.PathMetrics:
 		return path
 	}
-	if strings.HasPrefix(p, "/datasets/") {
+	if strings.HasPrefix(path, api.PathDatasets+"/") {
 		suffix := ""
-		if strings.HasSuffix(p, "/ingest") {
+		if strings.HasSuffix(path, "/ingest") {
 			suffix = "/ingest"
-		} else if strings.HasSuffix(p, "/mutations") {
+		} else if strings.HasSuffix(path, "/mutations") {
 			suffix = "/mutations"
 		}
-		if strings.HasPrefix(path, "/v1/") {
-			return "/v1/datasets/{name}" + suffix
-		}
-		return "/datasets/{name}" + suffix
+		return api.PathDatasets + "/{name}" + suffix
 	}
 	return "(unmatched)"
 }

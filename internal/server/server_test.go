@@ -286,7 +286,7 @@ func TestTimeoutFreesAdmissionSlot(t *testing.T) {
 // TestHealthz checks the liveness endpoint.
 func TestHealthz(t *testing.T) {
 	_, c := newTestServer(t, Config{})
-	resp, err := http.Get(c.BaseURL + "/healthz")
+	resp, err := http.Get(c.BaseURL + api.PathHealthz)
 	if err != nil {
 		t.Fatal(err)
 	}

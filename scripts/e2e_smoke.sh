@@ -4,11 +4,11 @@
 # is served from the structure cache (hits up, no new builds). Also checks
 # result content negotiation (row JSON by default, the WDC1 column frame on
 # request), /statusz, the /v1/metrics exposition (core series present and
-# non-zero), the deprecated unversioned aliases, the windowcli -server and
-# -trace modes, the out-of-core path (windowcli -ingest into a multi-segment
-# directory, segmented answers byte-identical to in-RAM, source=dir
-# registration, async server-side ingest with progress polling and ingest
-# metrics), and graceful shutdown.
+# non-zero), the 404 envelope on the removed unversioned paths, the
+# windowcli -server and -trace modes, the out-of-core path (windowcli
+# -ingest into a multi-segment directory, segmented answers byte-identical
+# to in-RAM, source=dir registration, async server-side ingest with progress
+# polling and ingest metrics), and graceful shutdown.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,12 +69,11 @@ grep -qi '^Content-Type: application/vnd.windowd.columns' "$tmp/frame.hdr" \
     || { echo "FAIL: frame query has the wrong Content-Type"; cat "$tmp/frame.hdr"; exit 1; }
 [ "$(head -c 4 "$tmp/frame.body")" = "WDC1" ] || { echo "FAIL: frame body does not start with WDC1"; exit 1; }
 
-# Legacy unversioned aliases: still answering, marked deprecated.
-legacy_headers=$(curl -sf -D - -o /dev/null "$base/healthz")
-printf '%s' "$legacy_headers" | grep -qi '^Deprecation: true' || { echo "FAIL: legacy /healthz lacks Deprecation header"; exit 1; }
-printf '%s' "$legacy_headers" | grep -qi 'successor-version'  || { echo "FAIL: legacy /healthz lacks successor Link"; exit 1; }
-curl -sf "$base/query" -H 'Content-Type: application/json' -d "$query" | grep -q '"med"' \
-    || { echo "FAIL: legacy /query alias does not answer"; exit 1; }
+# The pre-versioning unversioned paths are gone: POST /query answers the
+# 404 error envelope like any unknown route.
+code=$(curl -s -o "$tmp/legacy.json" -w '%{http_code}' "$base/query" -H 'Content-Type: application/json' -d "$query")
+[ "$code" = "404" ] || { echo "FAIL: unversioned /query answered HTTP $code"; cat "$tmp/legacy.json"; exit 1; }
+grep -q '"not_found"' "$tmp/legacy.json" || { echo "FAIL: unversioned /query lacks the 404 envelope"; cat "$tmp/legacy.json"; exit 1; }
 
 # A default-frame query (RANGE UNBOUNDED..CURRENT ROW) over the repeating
 # date column: peer rows share one frame, so the batched kernels' adjacent-

@@ -53,20 +53,37 @@ func TestPlanSQLStructured(t *testing.T) {
 	}
 }
 
+// TestWithoutSharedPlanEquivalence checks shared-plan SQL execution against
+// the statement evaluated without the planner: one RunWith per deduplicated
+// window, each sorting and building its structures on its own.
 func TestWithoutSharedPlanEquivalence(t *testing.T) {
-	tables := map[string]*Table{"t": planTestTable()}
-	shared, err := RunSQL(planTestSQL, tables)
+	tab := planTestTable()
+	shared, err := RunSQL(planTestSQL, map[string]*Table{"t": tab})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := RunSQLWith(planTestSQL, tables, WithoutSharedPlan())
+	ordered, err := RunWith(tab, Over().PartitionBy("g").OrderBy(Asc("d")), []*Func{
+		CountDistinct("v").As("cd"),
+		CountDistinct("v").WithFrame(Groups(Preceding(2), CurrentRow())).As("cd2"),
+		Rank(Asc("v")).As("r"),
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	unordered, err := RunWith(tab, Over().PartitionBy("g"), []*Func{Sum("v").As("s")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unshared := map[string]*Column{
+		"cd":  ordered.Column("cd"),
+		"cd2": ordered.Column("cd2"),
+		"r":   ordered.Column("r"),
+		"s":   unordered.Column("s"),
 	}
 	for _, col := range shared.Columns() {
-		other := legacy.Column(col.Name())
+		other := unshared[col.Name()]
 		if other == nil {
-			t.Fatalf("column %s missing from NoSharedPlan run", col.Name())
+			t.Fatalf("column %s missing from the per-window runs", col.Name())
 		}
 		for i := 0; i < col.Len(); i++ {
 			if col.IsNull(i) != other.IsNull(i) || (!col.IsNull(i) && col.Int64(i) != other.Int64(i)) {
