@@ -104,11 +104,23 @@ func TestPoolGetPut(t *testing.T) {
 		t.Fatalf("bytes in flight after put = %d", st.BytesInFlight)
 	}
 	z := p.GetZeroed(100)
+	if len(z) != 100 || cap(z) != 128 {
+		t.Fatalf("recycled GetZeroed(100) len/cap = %d/%d, want 100/128", len(z), cap(z))
+	}
 	for i, v := range z {
 		if v != 0 {
 			t.Fatalf("GetZeroed dirty at %d: %d", i, v)
 		}
 	}
+	// A recycled buffer is rebuilt from its data pointer: it must keep the
+	// whole class capacity, so a full-length Get can use every element.
+	p.Put(z)
+	full := p.Get(128)
+	if len(full) != 128 || cap(full) != 128 {
+		t.Fatalf("recycled Get(128) len/cap = %d/%d, want 128/128", len(full), cap(full))
+	}
+	full[127] = 1
+	p.Put(full)
 }
 
 func TestPoolPutRejectsGrownBuffers(t *testing.T) {

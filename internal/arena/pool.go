@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // maxClass bounds the pooled size classes: buffers of capacity up to
@@ -14,7 +15,10 @@ import (
 const maxClass = 26
 
 // Pool is a size-classed free list of []T scratch buffers backed by one
-// sync.Pool per power-of-two capacity class. Get returns a buffer of the
+// sync.Pool per power-of-two capacity class. Each class pool holds the
+// buffers' data pointers (*T), which box into an interface without a heap
+// allocation; since a class's capacity is exactly 1<<class, Get rebuilds the
+// full slice from the pointer alone. Get returns a buffer of the
 // requested length (contents unspecified); Put recycles it. Pools are safe
 // for concurrent use; buffers must not be used after Put — the poollifecycle
 // lint analyzer additionally rejects append on pooled buffers, which could
@@ -66,8 +70,7 @@ func (p *Pool[T]) Get(n int) []T {
 	}
 	p.inUse.Add(int64(1<<c) * elemBytes[T]())
 	if v := p.classes[c].Get(); v != nil {
-		buf := *(v.(*[]T))
-		return buf[:n]
+		return unsafe.Slice(v.(*T), 1<<c)[:n]
 	}
 	p.misses.Add(1)
 	return make([]T, n, 1<<c)
@@ -95,8 +98,7 @@ func (p *Pool[T]) Put(buf []T) {
 	}
 	p.puts.Add(1)
 	p.inUse.Add(-int64(c) * elemBytes[T]())
-	buf = buf[:c]
-	p.classes[cls].Put(&buf)
+	p.classes[cls].Put(unsafe.SliceData(buf))
 }
 
 // stat snapshots the pool's counters.

@@ -150,20 +150,6 @@ func treeSig(o mst.Options) string {
 	if o.Force64 {
 		b.WriteString(",64")
 	}
-	if o.SpillRows > 0 {
-		// Spilling changes the built structure (a chunk forest instead of
-		// one monolithic tree), so trees built with different spill
-		// thresholds must not share cache entries.
-		b.WriteString(",sp")
-		b.WriteString(strconv.Itoa(o.SpillRows))
-	}
-	if o.Tuning != nil {
-		// A tuner rewrites zero Fanout/SampleEvery per partition size, so
-		// trees built under different tuner tables (or with and without one)
-		// must not alias — the tuner's signature becomes part of every key.
-		b.WriteString(",tn:")
-		b.WriteString(o.Tuning.Sig())
-	}
 	return b.String()
 }
 

@@ -143,9 +143,8 @@ func TestPhaseSpansDoNotNest(t *testing.T) {
 
 // TestProbeZeroAllocWithoutTrace guards the acceptance bar: with tracing
 // disabled (a nil span everywhere), the warm probe path allocates nothing
-// per row. A batched chunk draws its scratch from the pools, whose Put boxes
-// one slice header per buffer, so a chunk costs a few allocations whatever
-// its row count; a per-row allocation would cost thousands here.
+// per row. A batched chunk draws its scratch from the pools and returns it
+// there, so a warm chunk allocates nothing whatever its row count.
 func TestProbeZeroAllocWithoutTrace(t *testing.T) {
 	const n = 4_096
 	f := &FuncSpec{Name: CountDistinct, Output: "x", Arg: "v"}
@@ -183,11 +182,22 @@ func TestProbeZeroAllocWithoutTrace(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		distinctCountChunk(p, fl, fc, tree, prev, next, out, agg, 0, n)
 	})
-	if allocs > maxChunkAllocs {
-		t.Fatalf("warm %d-row probe chunk allocates %.1f objects with tracing disabled, want <= %d", n, allocs, maxChunkAllocs)
+	bound := maxChunkAllocs
+	if raceEnabled {
+		bound = maxChunkAllocsRace
+	}
+	if allocs > float64(bound) {
+		t.Fatalf("warm %d-row probe chunk allocates %.1f objects with tracing disabled, want <= %d", n, allocs, bound)
 	}
 }
 
-// maxChunkAllocs bounds one warm probe chunk's allocations: the pool Puts of
-// the collector's and the kernel's scratch buffers.
-const maxChunkAllocs = 8
+// maxChunkAllocs bounds one warm probe chunk's allocations: every scratch
+// buffer comes from and returns to the arena pools, whose Put stores the
+// buffer's data pointer without boxing, so a warm chunk allocates nothing.
+// Under the race detector sync.Pool drops a random share of Puts, so any of
+// the chunk's few pooled buffers may be made fresh; maxChunkAllocsRace
+// still fails on a per-row allocation, which would cost thousands here.
+const (
+	maxChunkAllocs     = 0
+	maxChunkAllocsRace = 8
+)

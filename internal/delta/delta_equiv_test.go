@@ -16,7 +16,6 @@ import (
 	"holistic/internal/delta"
 	"holistic/internal/frame"
 	"holistic/internal/mst"
-	"holistic/internal/mst/tune"
 	"holistic/internal/treecache"
 )
 
@@ -258,13 +257,14 @@ func requireColumnsIdentical(t *testing.T, got, want *core.Column, label string)
 // interleavings, and after every batch the delta evaluation (shared cache
 // across epochs, so stale reuse would be caught) must equal a cache-free
 // from-scratch evaluation of the same merged table, for all 22 functions,
-// under every tree variant including spilled chunk forests.
+// under every tree variant.
 func TestDeltaEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	// The tuner variant exercises the ",tn:" cache-key component: delta
-	// re-keys (pk=…|pd<stamp>) survive across epochs, so a tuned tree
-	// aliasing an untuned entry would surface here as a wrong answer.
-	treeVariants := []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {SpillRows: 16}, {Tuning: tune.Default()}}
+	// The small-fanout variants exercise the f/k cache-key components:
+	// delta re-keys (pk=…|pd<stamp>) survive across epochs, so a tree of
+	// one shape aliasing an entry of another would surface here as a wrong
+	// answer.
+	treeVariants := []mst.Options{{}, {Fanout: 2, SampleEvery: 1}, {Fanout: 8, SampleEvery: 8}, {Fanout: 16, SampleEvery: 16}}
 	for trial := 0; trial < 8; trial++ {
 		nBase := []int{0, 3, 20, 45}[trial%4]
 		var rows [][]delta.Value

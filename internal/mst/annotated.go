@@ -36,7 +36,7 @@ type AnnotatedTree[S any] struct {
 // aggregate states. Keys must lie in [0, len(keys)] — the previous-index
 // domain of §5.1.
 func BuildAnnotated[S any](keys []int64, values []S, merge func(S, S) S, opt Options) (*AnnotatedTree[S], error) {
-	opt = opt.resolveFor(len(keys))
+	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}

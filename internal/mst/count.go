@@ -27,8 +27,7 @@ type descFrame struct {
 //
 // The descent is iterative with an explicit stack: partially overlapped
 // runs are pushed and their children scanned when popped, so the hot query
-// path pays no call overhead per level. The batched kernels
-// (count_batch.go) fall back to it for spill-chunked trees.
+// path pays no call overhead per level.
 func (t *tree[P]) countBelow(lo, hi int, threshold P) int {
 	top := t.top()
 	rank := lowerBoundP(t.run(top, 0), threshold)

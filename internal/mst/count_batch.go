@@ -50,15 +50,6 @@ func (t *Tree) CountBelowBatch(lo, hi []int32, threshold []int64, out []int32) {
 		}
 		return
 	}
-	if t.chunks != nil {
-		// Spill-chunked trees answer batches with the scalar per-chunk
-		// decomposition: the level-synchronous kernels assume one monolithic
-		// level geometry. Results stay exactly CountBelow per query.
-		for q := range out {
-			out[q] = i32(t.CountBelow(int(lo[q]), int(hi[q]), threshold[q]))
-		}
-		return
-	}
 	// Clamp every query exactly like CountBelow and resolve the trivial ones
 	// up front; resolved queries are marked with an empty position range so
 	// the kernels skip them without a separate mask.

@@ -21,9 +21,6 @@ func (t *Tree) SelectKthRanges(ranges [][2]int64, i int) (pos int, ok bool) {
 		//lint:invariant frame exclusion yields at most 3 ranges (§4.7); more is a window-operator bug, and truncating would silently mis-select
 		panic(fmt.Sprintf("mst: SelectKthRanges got %d ranges, max %d", len(ranges), maxSelectRanges))
 	}
-	if t.chunks != nil {
-		return t.chunkedSelectKthRanges(ranges, i)
-	}
 	if len(ranges) == 1 {
 		return t.SelectKth(ranges[0][0], ranges[0][1], i)
 	}
@@ -48,16 +45,6 @@ func (t *Tree) SelectKthRanges(ranges [][2]int64, i int) (pos int, ok bool) {
 		}
 	}
 	return selectKthMulti(t.t64, b[:m], i)
-}
-
-// CountRanges returns the number of entries at positions [lo, hi) whose
-// value falls into any of the sorted, disjoint half-open value ranges.
-func (t *Tree) CountRanges(lo, hi int, ranges [][2]int64) int {
-	total := 0
-	for _, r := range ranges {
-		total += t.CountRange(lo, hi, r[0], r[1])
-	}
-	return total
 }
 
 // selectKthMulti runs the Figure 7 descent with one rank pair per value

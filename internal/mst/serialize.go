@@ -15,26 +15,22 @@ import (
 //
 // Format (little endian):
 //
-//	magic "MST1" | flags u32 (bit0: 64-bit payloads, bit1: cascading,
-//	bit2: spill-chunked)
+//	magic "MST1" | flags u32 (bit0: 64-bit payloads, bit1: cascading)
 //	n u64 | fanout u32 | sampleEvery u32 | levels u32
 //	per level: payload array (4 or 8 bytes per element)
 //	per level >= 1, if cascading: stride u64 + sample array (4 bytes each)
 //
-// A spill-chunked tree (Options.SpillRows, spill.go) instead writes
-//
-//	magic "MST1" | flags u32 (bit2 set, others clear)
-//	n u64 | chunkLen u64 | numChunks u32
-//	per chunk: one full monolithic tree record (magic included)
-//
-// Chunks cannot nest: a chunk record with bit2 set is rejected.
+// Any other flag bit is rejected, so a record from a format this reader does
+// not know (such as the retired bit2 spill-forest form) fails to load instead
+// of being misread as a tree header.
 
 const magic = "MST1"
 
 const (
 	flag64Bit uint32 = 1 << iota
 	flagCascading
-	flagChunked
+
+	knownFlags = flag64Bit | flagCascading
 )
 
 // WriteTo serialises the tree. It returns the number of bytes written.
@@ -42,12 +38,9 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	cw := &countingWriter{w: bw}
 	var err error
-	switch {
-	case t.chunks != nil:
-		err = writeChunked(cw, t)
-	case t.t32 != nil:
+	if t.t32 != nil {
 		err = writeTree(cw, t.t32, false)
-	default:
+	} else {
 		err = writeTree(cw, t.t64, true)
 	}
 	if err != nil {
@@ -56,40 +49,9 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, bw.Flush()
 }
 
-// writeChunked serialises a spill forest: a chunk-list header followed by
-// one monolithic tree record per chunk.
-func writeChunked(w io.Writer, t *Tree) error {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return err
-	}
-	//lint:narrowconv-ok the chunk count is at most n < 2³¹
-	for _, v := range []any{flagChunked, uint64(t.n), uint64(t.chunkLen), uint32(len(t.chunks))} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, c := range t.chunks {
-		var err error
-		if c.t32 != nil {
-			err = writeTree(w, c.t32, false)
-		} else {
-			err = writeTree(w, c.t64, true)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ReadTree deserialises a tree written by WriteTo.
 func ReadTree(r io.Reader) (*Tree, error) {
-	return readTreeFrom(bufio.NewReader(r), true)
-}
-
-// readTreeFrom reads one tree record; allowChunked permits the spill-forest
-// form at the top level only (chunks cannot nest).
-func readTreeFrom(br *bufio.Reader, allowChunked bool) (*Tree, error) {
+	br := bufio.NewReader(r)
 	var head [4]byte
 	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return nil, fmt.Errorf("mst: reading magic: %w", err)
@@ -101,11 +63,8 @@ func readTreeFrom(br *bufio.Reader, allowChunked bool) (*Tree, error) {
 	if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
 		return nil, fmt.Errorf("mst: reading flags: %w", err)
 	}
-	if flags&flagChunked != 0 {
-		if !allowChunked {
-			return nil, fmt.Errorf("mst: nested spill-chunked tree")
-		}
-		return readChunked(br)
+	if flags&^knownFlags != 0 {
+		return nil, fmt.Errorf("mst: unknown flags %#x", flags&^knownFlags)
 	}
 	var fanout, sampleEvery, levels uint32
 	var n uint64
@@ -134,45 +93,6 @@ func readTreeFrom(br *bufio.Reader, allowChunked bool) (*Tree, error) {
 		}
 		out.t32 = tr
 	}
-	return out, nil
-}
-
-// readChunked reads the spill-forest form: chunk-list header then one
-// monolithic record per chunk, validated for mutual consistency.
-func readChunked(br *bufio.Reader) (*Tree, error) {
-	var n, chunkLen uint64
-	var numChunks uint32
-	for _, v := range []any{&n, &chunkLen, &numChunks} {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("mst: reading chunk header: %w", err)
-		}
-	}
-	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("mst: serialized chunked tree claims %d elements", n)
-	}
-	if chunkLen < 1 || chunkLen >= n {
-		return nil, fmt.Errorf("mst: implausible chunk length %d for %d elements", chunkLen, n)
-	}
-	if want := (n + chunkLen - 1) / chunkLen; uint64(numChunks) != want {
-		return nil, fmt.Errorf("mst: chunk count %d inconsistent with n=%d chunkLen=%d", numChunks, n, chunkLen)
-	}
-	out := &Tree{n: int(n), chunkLen: int(chunkLen), chunks: make([]*Tree, numChunks)}
-	for i := range out.chunks {
-		c, err := readTreeFrom(br, false)
-		if err != nil {
-			return nil, fmt.Errorf("mst: reading chunk %d: %w", i, err)
-		}
-		want := int(chunkLen)
-		if i == len(out.chunks)-1 {
-			want = int(n) - i*int(chunkLen)
-		}
-		if c.n != want {
-			return nil, fmt.Errorf("mst: chunk %d has %d elements, want %d", i, c.n, want)
-		}
-		out.chunks[i] = c
-	}
-	out.opt = out.chunks[0].opt
-	out.opt.SpillRows = int(chunkLen)
 	return out, nil
 }
 

@@ -94,6 +94,15 @@ func TestSerializeCorruption(t *testing.T) {
 	if _, err := ReadTree(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("implausible n accepted")
 	}
+	// Unknown flag bits: bit2 marked the retired spill-forest form, whose
+	// header would otherwise be misread as a 32-bit tree header.
+	for _, bit := range []uint{2, 3, 31} {
+		flagged := append([]byte{}, full...)
+		flagged[4+bit/8] |= 1 << (bit % 8)
+		if _, err := ReadTree(bytes.NewReader(flagged)); err == nil {
+			t.Fatalf("record with flag bit %d accepted", bit)
+		}
+	}
 }
 
 func TestSerializedSizeMatchesStats(t *testing.T) {

@@ -14,27 +14,8 @@ type Stats struct {
 	SampleDistance int
 }
 
-// Stats reports the storage consumed by the tree. For a spill forest the
-// counts sum over the subtrees (Levels reports the deepest subtree, and
-// ElementBytes the widest payload).
+// Stats reports the storage consumed by the tree.
 func (t *Tree) Stats() Stats {
-	if t.chunks != nil {
-		var s Stats
-		for _, c := range t.chunks {
-			cs := c.Stats()
-			s.Elements += cs.Elements
-			s.Pointers += cs.Pointers
-			s.Bytes += cs.Bytes
-			if cs.Levels > s.Levels {
-				s.Levels = cs.Levels
-			}
-			if cs.ElementBytes > s.ElementBytes {
-				s.ElementBytes = cs.ElementBytes
-			}
-			s.Fanout, s.SampleDistance = cs.Fanout, cs.SampleDistance
-		}
-		return s
-	}
 	if t.t32 != nil {
 		return stats(t.t32, 4)
 	}

@@ -32,7 +32,6 @@ package mst
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"holistic/internal/obs"
 )
@@ -64,47 +63,10 @@ type Options struct {
 	Force64 bool
 	// Serial disables parallel construction.
 	Serial bool
-	// SpillRows, when > 0, makes Build spill-aware: inputs larger than
-	// SpillRows are built as an ordered forest of monolithic subtrees over
-	// consecutive SpillRows-sized chunks (one per on-disk segment's worth of
-	// rows in the out-of-core path), merged lazily at query time — see
-	// spill.go. Answers are byte-identical to the monolithic tree's; only
-	// Build honors the option (BuildAnnotated stays monolithic because its
-	// float prefix aggregates depend on merge order). 0 disables spilling.
-	SpillRows int
-	// Tuning, when non-nil, supplies measured construction parameters per
-	// input size: Build and BuildAnnotated consult it for the fanout and
-	// sample distance when the corresponding field is left zero, replacing
-	// the paper's fixed f = k = 32 with the tuner's crossover-derived
-	// choice (package mst/tune provides the canonical implementation).
-	// Explicitly set Fanout/SampleEvery always win over the tuner. The
-	// tuner shapes the built structure, so its Sig() must be folded into
-	// any cache key derived from these options.
-	Tuning Tuner
 	// Trace, when non-nil, receives one child span per merge level during
 	// construction. It never influences the built structure, so it is
 	// excluded from structural signatures and not persisted by Serialize.
 	Trace *obs.Span
-}
-
-// Choice is a Tuner's parameter pick for one input size.
-type Choice struct {
-	// Fanout and SampleEvery are the construction parameters (f, k).
-	// Values < 2 (resp. < 1) are ignored and fall back to the defaults.
-	Fanout      int
-	SampleEvery int
-}
-
-// Tuner supplies per-input-size construction parameters, derived from
-// measured build+probe crossover curves (see internal/mst/tune).
-// Implementations must be deterministic — the same n always yields the same
-// Choice — and safe for concurrent use. Sig must return a stable signature
-// identifying the table the tuner answers from: it becomes part of tree
-// cache keys, so two tuners that could ever answer differently must have
-// different signatures.
-type Tuner interface {
-	Choose(n int) Choice
-	Sig() string
 }
 
 func (o Options) withDefaults() Options {
@@ -117,33 +79,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// resolveFor applies the auto-tuner's parameter choice for an input of n
-// elements to every field the caller left zero, then fills the remaining
-// zeros with the paper defaults. The result is a pure function of (o, n),
-// so rebuilding the same input with the same options always yields the
-// same structure — the property delta re-keys and the treecache rely on.
-func (o Options) resolveFor(n int) Options {
-	if o.Tuning != nil {
-		c := o.Tuning.Choose(n)
-		if o.Fanout == 0 && c.Fanout >= 2 {
-			o.Fanout = c.Fanout
-		}
-		if o.SampleEvery == 0 && c.SampleEvery >= 1 {
-			o.SampleEvery = c.SampleEvery
-		}
-	}
-	return o.withDefaults()
-}
-
 func (o Options) validate() error {
 	if o.Fanout < 2 {
 		return fmt.Errorf("mst: fanout must be >= 2, got %d", o.Fanout)
 	}
 	if o.SampleEvery < 1 {
 		return fmt.Errorf("mst: sample distance must be >= 1, got %d", o.SampleEvery)
-	}
-	if o.SpillRows < 0 {
-		return fmt.Errorf("mst: spill rows must be >= 0, got %d", o.SpillRows)
 	}
 	return nil
 }
@@ -186,18 +127,6 @@ type Tree struct {
 	t64 *tree[int64]
 	n   int
 	opt Options
-
-	// Spill-chunked representation (Options.SpillRows, spill.go): when
-	// chunks is non-nil, t32/t64 are nil and chunks[i] is a monolithic
-	// subtree over base positions [i·chunkLen, min((i+1)·chunkLen, n)).
-	chunks   []*Tree
-	chunkLen int
-	// topOnce guards the lazily merged full top run (top32 or top64,
-	// matching the forest's payload width), built on the first full-span
-	// query by merging the chunk top runs with the loser-tree scratch.
-	topOnce sync.Once
-	top32   []int32
-	top64   []int64
 }
 
 // Build constructs a merge sort tree over keys. The input slice is not
@@ -205,15 +134,12 @@ type Tree struct {
 // non-negative integers; the special value "–" is mapped to 0 with all
 // indices shifted by one, §5.1).
 func Build(keys []int64, opt Options) (*Tree, error) {
-	opt = opt.resolveFor(len(keys))
+	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	if len(keys) >= math.MaxInt32 {
 		return nil, fmt.Errorf("mst: input of %d elements exceeds the 2³¹ element limit", len(keys))
-	}
-	if opt.SpillRows > 0 && len(keys) > opt.SpillRows {
-		return buildChunked(keys, opt)
 	}
 	t := &Tree{n: len(keys), opt: opt}
 	use32 := !opt.Force64
@@ -243,17 +169,8 @@ func Build(keys []int64, opt Options) (*Tree, error) {
 // Len returns the number of elements the tree was built over.
 func (t *Tree) Len() int { return t.n }
 
-// Is32Bit reports whether the tree stores 32-bit elements (for a spill
-// forest: whether every subtree does).
+// Is32Bit reports whether the tree stores 32-bit elements.
 func (t *Tree) Is32Bit() bool {
-	if t.chunks != nil {
-		for _, c := range t.chunks {
-			if !c.Is32Bit() {
-				return false
-			}
-		}
-		return true
-	}
 	return t.t32 != nil
 }
 
@@ -268,9 +185,6 @@ func (t *Tree) CountBelow(lo, hi int, threshold int64) int {
 	}
 	if lo >= hi {
 		return 0
-	}
-	if t.chunks != nil {
-		return t.chunkedCountBelow(lo, hi, threshold)
 	}
 	if t.t32 != nil {
 		if threshold <= 0 {
@@ -300,9 +214,6 @@ func (t *Tree) SelectKth(vLo, vHi int64, i int) (pos int, ok bool) {
 	if i < 0 || vHi <= vLo || t.n == 0 {
 		return 0, false
 	}
-	if t.chunks != nil {
-		return t.chunkedSelectKthRanges([][2]int64{{vLo, vHi}}, i)
-	}
 	if t.t32 != nil {
 		l32 := clampI32(vLo)
 		h32 := clampI32(vHi)
@@ -326,9 +237,6 @@ func clampI32(v int64) int32 {
 
 // Value returns the payload value at base position pos.
 func (t *Tree) Value(pos int) int64 {
-	if t.chunks != nil {
-		return t.chunks[pos/t.chunkLen].Value(pos % t.chunkLen)
-	}
 	if t.t32 != nil {
 		return int64(t.t32.levels[0][pos])
 	}

@@ -8,7 +8,6 @@ import (
 
 	"holistic"
 	"holistic/internal/csvio"
-	"holistic/internal/mst"
 	"holistic/internal/treecache"
 )
 
@@ -47,7 +46,7 @@ var equivalenceQueries = []string{
 }
 
 // TestSegmentedEquivalence is the acceptance harness: a randomized dataset
-// written as >= 4 on-disk segments and evaluated with spill-chunked trees
+// written as >= 4 on-disk segments and evaluated through the column cache
 // must return byte-identical results to the all-in-RAM path for every
 // window function.
 func TestSegmentedEquivalence(t *testing.T) {
@@ -76,7 +75,6 @@ func TestSegmentedEquivalence(t *testing.T) {
 			t.Fatalf("query %d in-RAM: %v", qi, err)
 		}
 		segOut, err := holistic.RunSQLOptions(q, map[string]*holistic.Table{"t": segFile.Table}, holistic.Options{
-			Tree:       mst.Options{SpillRows: 37},
 			Cache:      cache,
 			CacheScope: "t@" + d.Version(),
 		})

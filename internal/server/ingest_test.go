@@ -57,7 +57,7 @@ func TestUploadLimit(t *testing.T) {
 // query over the segmented dataset compared row-for-row against the same
 // CSV uploaded in-RAM on the same server.
 func TestIngestAndSegmentedQuery(t *testing.T) {
-	_, c := newTestServer(t, Config{SpillRows: 48})
+	_, c := newTestServer(t, Config{})
 	ctx := context.Background()
 	dir := t.TempDir()
 	src := filepath.Join(dir, "src.csv")

@@ -39,7 +39,6 @@ import (
 	"holistic/internal/csvio"
 	"holistic/internal/delta"
 	"holistic/internal/ingest"
-	"holistic/internal/mst"
 	"holistic/internal/obs"
 	"holistic/internal/plan"
 	"holistic/internal/segment"
@@ -72,11 +71,6 @@ type Config struct {
 	// explains. Oversized bodies answer 413 with the payload_too_large
 	// code. <= 0 means 256 MiB.
 	MaxUploadBytes int64
-	// SpillRows, when > 0, makes the operator build merge sort trees as
-	// forests of SpillRows-row subtrees (mst.Options.SpillRows), bounding
-	// the largest contiguous build and enabling out-of-core-friendly
-	// incremental tree construction. 0 keeps monolithic trees.
-	SpillRows int
 	// CompactRows is the per-dataset mutation-overlay size at which the
 	// background compactor folds the overlay into a new frozen generation;
 	// <= 0 picks max(1024, rows/8) adaptively (delta.Options.CompactRows).
@@ -920,7 +914,6 @@ func (s *Server) query(parent context.Context, sql string, timeoutMillis int64, 
 	root.Set("sql", sql)
 	start := time.Now()
 	res, planStats, err := sqlparse.ExecutePlanned(q, map[string]*core.Table{q.From: tab}, core.Options{
-		Tree:       mst.Options{SpillRows: s.cfg.SpillRows},
 		Context:    ctx,
 		Cache:      s.cache,
 		CacheScope: fmt.Sprintf("%s|g%d", ds.scope, snap.Gen()),

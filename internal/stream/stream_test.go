@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"holistic/internal/mst"
-	"holistic/internal/mst/tune"
 )
 
 // model is a brute-force reference for the sliding window.
@@ -252,14 +251,14 @@ func BenchmarkPercentileQuery(b *testing.B) {
 	}
 }
 
-// TestAggregatorWithTuner pins the incremental path's tuner support: an
-// aggregator whose rebuilds use tuner-selected tree parameters must answer
-// identically to the fixed-parameter default across rebuild cycles.
-func TestAggregatorWithTuner(t *testing.T) {
+// TestAggregatorSmallFanout pins the incremental path's tree options: an
+// aggregator whose rebuilds use a small fanout and sample distance must
+// answer identically to the f = k = 32 default across rebuild cycles.
+func TestAggregatorSmallFanout(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tuned, err := NewAggregator(80, Options{
+	small, err := NewAggregator(80, Options{
 		RebuildThreshold: 16,
-		Tree:             mst.Options{Tuning: tune.Default()},
+		Tree:             mst.Options{Fanout: 16, SampleEvery: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +271,7 @@ func TestAggregatorWithTuner(t *testing.T) {
 	for step := 0; step < 1500; step++ {
 		ts += rng.Int63n(3)
 		val := rng.Int63n(60) - 20
-		if err := tuned.Observe(ts, val); err != nil {
+		if err := small.Observe(ts, val); err != nil {
 			t.Fatal(err)
 		}
 		if err := plain.Observe(ts, val); err != nil {
@@ -281,15 +280,15 @@ func TestAggregatorWithTuner(t *testing.T) {
 		if step%23 != 0 {
 			continue
 		}
-		if a, b := tuned.DistinctCount(), plain.DistinctCount(); a != b {
+		if a, b := small.DistinctCount(), plain.DistinctCount(); a != b {
 			t.Fatalf("step %d: distinct %d != %d", step, a, b)
 		}
 		v := rng.Int63n(70) - 25
-		if a, b := tuned.CountBelow(v), plain.CountBelow(v); a != b {
+		if a, b := small.CountBelow(v), plain.CountBelow(v); a != b {
 			t.Fatalf("step %d: countBelow(%d) %d != %d", step, v, a, b)
 		}
 		p := rng.Float64()
-		aP, aOK := tuned.Percentile(p)
+		aP, aOK := small.Percentile(p)
 		bP, bOK := plain.Percentile(p)
 		if aOK != bOK || (aOK && aP != bP) {
 			t.Fatalf("step %d: percentile(%v) (%d,%v) != (%d,%v)", step, p, aP, aOK, bP, bOK)

@@ -72,10 +72,9 @@ func WithTaskSize(rows int) Option {
 	return func(o *Options) { o.TaskSize = rows }
 }
 
-// WithTree configures merge sort tree construction (fanout f, pointer
-// sampling k, cascading, 32/64-bit payloads, and a size-aware tuner via
-// TreeOptions.Tuning — see internal/mst/tune and DESIGN.md §15.3;
-// explicitly set fields always beat the tuner's choices).
+// WithTree configures merge sort tree construction: fanout f, pointer
+// sampling k, cascading and 32/64-bit payloads. Zero fields keep the
+// paper's f = k = 32 with cascading and 32-bit payloads where they fit.
 func WithTree(t TreeOptions) Option {
 	return func(o *Options) { o.Tree = t }
 }
